@@ -322,7 +322,7 @@ func BenchmarkWorkloadDrive(b *testing.B) {
 	spec := workload.ClosSpec(64)
 	var mbps float64
 	for i := 0; i < b.N; i++ {
-		res := workload.DriveRaw(spec, p, pat, 112)
+		res := workload.DriveRawSharded(spec, p, pat, 112, 1)
 		mbps = res.MBps()
 	}
 	b.ReportMetric(mbps, "sim-MB/s")

@@ -24,15 +24,16 @@
 // pool (-workers, default one per CPU); results are identical at any
 // worker count.
 //
-// -shards splits each individual simulation across N shard kernels
-// (conservative parallel DES, one leaf-group block per shard; DESIGN.md
-// "Parallel engine"). -shards 1, the default, is the single kernel and
-// its output is byte-identical to builds predating the sharded engine;
-// any fixed -shards value is deterministic at every -workers count.
-// Only the scale and faults experiments' 2-level Clos fabrics
-// partition, so -shards > 1 is validated against every selected
+// -shards splits each individual simulation of the scale and faults
+// experiments across N shard kernels (conservative parallel DES, one
+// leaf-group block per shard; DESIGN.md "Parallel engine"). -shards 1,
+// the default, is one shard — the single kernel — and its output is
+// byte-identical to builds predating the sharded engine; any fixed
+// -shards value is deterministic at every -workers count. Only those
+// two experiments' 2-level Clos fabrics partition, and soak runs one
+// kernel by design, so -shards > 1 is validated against every selected
 // experiment before anything runs, and the rejection names what the
-// fabric supports.
+// experiment supports.
 //
 // The faults experiment (extended; run by id) injects component
 // outages and loss/corruption bursts mid-traffic and reports what the
@@ -60,7 +61,7 @@
 // before anything runs, and a -soak-* flag without the soak experiment
 // selected is rejected outright. The timeline is computed on the
 // canonical single-kernel engine, so soak output is byte-identical at
-// any -workers and -shards setting.
+// any -workers setting and -shards > 1 is rejected.
 //
 // -timing appends a wall-clock line and a memory line (Go heap high
 // water plus peak RSS where /proc exposes it) per experiment (off by
@@ -148,7 +149,7 @@ func run() int {
 	packets := flag.Int("packets", 0, "override packets per bandwidth point")
 	rounds := flag.Int("rounds", 0, "override ping-pong rounds per latency point")
 	workers := flag.Int("workers", 0, "override harness parallelism (default: one per CPU)")
-	shards := flag.Int("shards", 1, "shard kernels per simulation (scale experiment only; 1 = single kernel)")
+	shards := flag.Int("shards", 1, "shard kernels per simulation (scale and faults experiments; 1 = single kernel)")
 	fabricNodes := flag.Int("fabric-nodes", 0, "override node count for the fabrics experiment (default 64)")
 	patternNodes := flag.Int("pattern-nodes", 0, "override node count for the patterns experiment (default 32)")
 	scaleNodes := flag.String("scale-nodes", "", "override the scale sweep's node counts (comma-separated, e.g. 64,256,1024)")

@@ -43,8 +43,8 @@ func Fabrics(opt Options) *Report {
 		a2aBW, bisBW, a2aHops float64
 	}
 	results := mapN(opt.Workers, len(specs), func(i int) res {
-		a2a := workload.DriveRaw(specs[i], p, workload.AllToAll{Rounds: 2}, size)
-		bis := workload.DriveRaw(specs[i], p, workload.Bisection{Packets: 32}, size)
+		a2a := workload.DriveRawSharded(specs[i], p, workload.AllToAll{Rounds: 2}, size, 1)
+		bis := workload.DriveRawSharded(specs[i], p, workload.Bisection{Packets: 32}, size, 1)
 		return res{
 			a2aBW:   metrics.Bandwidth(size, a2a.Messages, a2a.Elapsed),
 			bisBW:   metrics.Bandwidth(size, bis.Messages, bis.Elapsed),

@@ -15,9 +15,9 @@ import (
 // switch outages, node-interface churn, loss and corruption bursts —
 // into a 2-level Clos mid-traffic and measure what the FM reliability
 // layer does about it: degraded-mode bisection bandwidth, retransmit
-// counts, and recovery time. The fault drivers panic if any message
-// goes undelivered, duplicated, or stranded, so a report existing at
-// all is the delivery proof.
+// counts, and recovery time. The FM drive panics if any message goes
+// undelivered, duplicated, or stranded, so a report existing at all is
+// the delivery proof.
 //
 // Everything printed is invariant across -workers and -shards: fault
 // toggles replay at identical virtual instants on every shard replica,
@@ -107,9 +107,9 @@ func Faults(opt Options) *Report {
 	})
 
 	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-	bisBW := metrics.Bandwidth(size, bis.Messages, bis.Elapsed)
-	degBW := metrics.Bandwidth(size, degBis.Messages, degBis.Elapsed)
-	recovery := us(degBis.Elapsed) - us(bis.Elapsed)
+	bisBW := metrics.Bandwidth(size, bis.Messages, bis.LastDelivery)
+	degBW := metrics.Bandwidth(size, degBis.Messages, degBis.LastDelivery)
+	recovery := us(degBis.LastDelivery) - us(bis.LastDelivery)
 	if recovery < 0 {
 		recovery = 0
 	}
@@ -122,9 +122,9 @@ func Faults(opt Options) *Report {
 		KV{"all-to-all retransmits", fmt.Sprintf("%d", a2a.Stats.Retransmits), "-"},
 		KV{"fabric bounces (a2a / bisection)", fmt.Sprintf("%d/%d", a2a.Fault.Bounced, degBis.Fault.Bounced), "-"},
 		KV{"frames lost / corrupted (a2a)", fmt.Sprintf("%d/%d", a2a.Fault.Lost, a2a.Fault.Corrupted), "-"},
-		KV{"clean bisection completion (us)", fmt.Sprintf("%.1f", us(bis.Elapsed)), "-"},
+		KV{"clean bisection completion (us)", fmt.Sprintf("%.1f", us(bis.LastDelivery)), "-"},
 		KV{"clean bisection BW (MB/s)", fmt.Sprintf("%.0f", bisBW), "-"},
-		KV{"degraded bisection completion (us)", fmt.Sprintf("%.1f", us(degBis.Elapsed)), "-"},
+		KV{"degraded bisection completion (us)", fmt.Sprintf("%.1f", us(degBis.LastDelivery)), "-"},
 		KV{"degraded bisection BW (MB/s)", fmt.Sprintf("%.0f", degBW), "-"},
 		KV{"degraded/clean bisection BW", fmt.Sprintf("%.1f%%", 100*degBW/bisBW), "-"},
 		KV{"recovery time (us)", fmt.Sprintf("%.1f", recovery), "-"},

@@ -72,7 +72,7 @@ func Patterns(opt Options) *Report {
 		i := i
 		pat, spec := pats[i/len(specs)], specs[i%len(specs)]
 		jobs = append(jobs,
-			func() { cells[i].raw = workload.DriveRaw(spec, p, pat, size) },
+			func() { cells[i].raw = workload.DriveRawSharded(spec, p, pat, size, 1) },
 			func() { cells[i].fm = workload.DriveFM(spec, core.DefaultConfig(), p, pat, size) },
 			func() { cells[i].mpi = workload.DriveMPI(spec, core.DefaultConfig(), p, pat, size) },
 		)

@@ -82,8 +82,8 @@ func FaultDrive() workload.FaultResult {
 	if err != nil {
 		panic(err)
 	}
-	return workload.DriveFMFaults(workload.ClosSpec(n), core.DefaultConfig(), cost.Default(),
-		workload.AllToAll{Rounds: 1}, 112, ws)
+	return workload.DriveFMFaultsSharded(workload.ClosSpec(n), core.DefaultConfig(), cost.Default(),
+		workload.AllToAll{Rounds: 1}, 112, ws, 1)
 }
 
 // Exported layer-stack configurations (the Table 4 rows), for benchmarks

@@ -53,11 +53,11 @@ type Options struct {
 	// all-to-all, whose output is byte-identical to builds predating
 	// the knob). The bisection leg always runs bisection traffic.
 	ScalePattern string
-	// Shards splits each scale-experiment simulation across this many
-	// shard kernels (conservative parallel DES; DESIGN.md "Parallel
-	// engine"). 1, the default, is the single-kernel path and stays
-	// byte-identical to runs predating the sharded engine. Only the
-	// scale experiment's 2-level Clos sweeps partition; fmbench
+	// Shards splits each scale- and faults-experiment simulation across
+	// this many shard kernels (conservative parallel DES; DESIGN.md
+	// "Parallel engine"). 1, the default, is one shard: the single
+	// kernel, byte-identical to runs predating the sharded engine. Only
+	// those experiments' 2-level Clos fabrics partition; fmbench
 	// validates the value against every selected experiment (see
 	// ShardSupport) before anything runs.
 	Shards int
@@ -255,7 +255,7 @@ func Extended() []Experiment {
 		{"scale", "Clos scaling sweep: 64 to 4096 nodes, raw fabric and full FM stack (~30 min; trim with -scale-nodes)",
 			"full-bisection Clos sweep driving all-to-all and bisection traffic at raw and FM levels; shards with -shards", Scale},
 		{"faults", "Resilience: seeded fault injection (outages, loss, corruption) on a Clos — degraded bisection BW, retransmits, recovery (-fault-seed/-fault-plan/-fault-nodes)",
-			"injects a deterministic fault plan mid-traffic and reports delivery proof, degraded BW, and recovery time", Faults},
+			"injects a deterministic fault plan mid-traffic and reports delivery proof, degraded BW, and recovery time; shards with -shards", Faults},
 		{"soak", "Soak: open-loop offered-load sweep with windowed time series on a Clos (-soak-*)",
 			"streams Poisson or fixed-rate arrivals through the FM stack across an offered-load ladder; windowed p50/p99/p999 and backlog expose the saturation knee (-soak-source/-soak-pattern/-soak-nodes/-soak-loads/-soak-horizon-us/-soak-window-us/-soak-seed/-soak-drain; -fault-plan overlays recovery transients)", Soak},
 	}

@@ -15,9 +15,10 @@ import (
 // leaf group of a strict two-level leaf/spine fabric — applied to every
 // fabric the experiment builds. The scale experiment runs only such
 // Clos fabrics, so it shards up to the leaf count of its smallest sweep
-// point; every other experiment includes a crossbar (one leaf group),
-// a line (leaf-to-leaf trunks), or the paper's two-node setups, none of
-// which partition.
+// point, and the faults experiment up to its one Clos's leaf count.
+// Soak runs one kernel by design; every other experiment includes a
+// crossbar (one leaf group), a line (leaf-to-leaf trunks), or the
+// paper's two-node setups, none of which partition.
 func ShardSupport(id string, opt Options) (int, string) {
 	switch id {
 	case "scale":
@@ -41,12 +42,7 @@ func ShardSupport(id string, opt Options) (int, string) {
 		_, groups := workload.Geometry(n)
 		return groups, fmt.Sprintf("the faults experiment runs one 2-level Clos, and clos-%d has %d leaf groups", n, groups)
 	case "soak":
-		n := opt.SoakNodes
-		if n == 0 {
-			n = DefaultOptions().SoakNodes
-		}
-		_, groups := workload.Geometry(n)
-		return groups, fmt.Sprintf("the soak timeline is computed on the canonical single-kernel engine (output is shard-invariant), and clos-%d accepts up to its %d leaf groups", n, groups)
+		return 1, "the soak timeline is computed on the canonical single-kernel engine: a saturation study is contended by definition, and sharded contention resolves in a different order"
 	case "fabrics", "patterns", "mpi":
 		return 1, "compares crossbar and line fabrics; a crossbar is a single leaf group and a line links leaves directly, so neither partitions"
 	default:

@@ -35,12 +35,11 @@ func TestShardSupport(t *testing.T) {
 		t.Fatalf("ShardSupport(faults, 64 nodes) = %d, want %d", n, g64)
 	}
 
-	// soak: accepts up to the leaf-group count of its Clos even though
-	// the timeline itself always runs on the canonical single kernel.
+	// soak: the timeline always runs on the canonical single kernel, so
+	// -shards > 1 is rejected rather than accepted and ignored.
 	opt = DefaultOptions()
-	_, g64soak := workload.Geometry(64)
-	if n, detail := ShardSupport("soak", opt); n != g64soak || !strings.Contains(detail, "single-kernel") {
-		t.Fatalf("ShardSupport(soak) = %d %q, want %d citing the single-kernel engine", n, detail, g64soak)
+	if n, detail := ShardSupport("soak", opt); n != 1 || !strings.Contains(detail, "single-kernel") {
+		t.Fatalf("ShardSupport(soak) = %d %q, want 1 citing the single-kernel engine", n, detail)
 	}
 
 	// Everything else is single-kernel only, with a reason to print.

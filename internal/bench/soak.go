@@ -21,12 +21,13 @@ import (
 // bandwidth flattening while sojourn p99 and backlog blow up.
 //
 // The timeline is always computed on the canonical single-kernel
-// engine, whatever -shards says. A sharded engine is deterministic for
-// a fixed shard count, but under contention it grants switch output
-// ports in merged head-arrival order where the single kernel grants
-// them in injection order — and a saturation study is contended by
-// definition. Pinning the one canonical engine is what makes this
-// report byte-identical at any accepted -workers and -shards value.
+// engine, and fmbench rejects -shards > 1 for it (ShardSupport). A
+// sharded engine is deterministic for a fixed shard count, but under
+// contention it grants switch output ports in merged head-arrival
+// order where the single kernel grants them in injection order — and a
+// saturation study is contended by definition. Pinning the one
+// canonical engine is what makes this report byte-identical at any
+// -workers value.
 
 // soakSize is the soak payload: the paper's 128B frame minus the 16B
 // header, matching the fabrics/patterns experiments.

@@ -19,11 +19,20 @@ import (
 )
 
 // Hardware is the layer-independent machine: everything below the
-// messaging software.
+// messaging software, co-simulated by a group of shard kernels. One
+// shard is the single-kernel machine: K and Fab are then the whole
+// engine and Part is nil. Past one shard every shard holds a replica of
+// the fabric and every node's stack lives on the kernel of the shard
+// that owns its leaf switch; indexing stays global, so Buses[id],
+// CPUs[id] and friends work for every node id whichever shard
+// simulates it.
 type Hardware struct {
-	K     *sim.Kernel
+	K     *sim.Kernel // shard 0's kernel
+	Group *sim.ShardGroup
+	Part  *myrinet.Partition // nil at one shard: the fabric is not partitioned
 	P     *cost.Params
-	Fab   *myrinet.Fabric
+	Fab   *myrinet.Fabric   // shard 0's replica
+	Fabs  []*myrinet.Fabric // one replica per shard
 	Buses []*sbus.Bus
 	CPUs  []*host.CPU
 	Devs  []*lanai.Device
@@ -38,9 +47,9 @@ type Hardware struct {
 // from a chunked arena: a 16k-node cluster then makes ~n/stackChunk
 // allocations for stack headers instead of 5n separate ones, and each
 // node's hot structures share cache lines. Ownership rules: the arena
-// chunk is owned by the cluster (Hardware or ShardedFM) that allocated
-// it and lives exactly as long as the cluster; callers only ever see
-// the ordinary *Bus/*CPU/... pointers, which alias into the chunk and
+// chunk is owned by the cluster that allocated it and lives exactly as
+// long as the cluster; callers only ever see the ordinary
+// *Bus/*CPU/... pointers, which alias into the chunk and
 // must not outlive the cluster — the same lifetime contract the
 // individually-allocated objects already had in practice, since every
 // one of them pins the cluster's kernel anyway.
@@ -91,26 +100,64 @@ func (a *stackArena) alloc() *nodeStack {
 // count (8 for the paper's switch) and queue geometry.
 func NewHardware(n int, p *cost.Params, qc lanai.QueueConfig, ports int) *Hardware {
 	k := sim.NewKernel()
-	fab := myrinet.NewCrossbar(k, p, n, ports)
-	return attach(k, p, fab, qc)
+	return NewHardwareOnFabric(k, p, myrinet.NewCrossbar(k, p, n, ports), qc)
 }
 
 // NewHardwareOnFabric wires nodes onto an existing fabric (multi-switch
-// topologies built with myrinet.NewLine).
+// topologies built with myrinet.NewLine): a one-shard machine on the
+// caller's kernel.
 func NewHardwareOnFabric(k *sim.Kernel, p *cost.Params, fab *myrinet.Fabric, qc lanai.QueueConfig) *Hardware {
-	return attach(k, p, fab, qc)
+	return place(sim.GroupOf(k), nil, p, []*myrinet.Fabric{fab}, qc)
 }
 
-func attach(k *sim.Kernel, p *cost.Params, fab *myrinet.Fabric, qc lanai.QueueConfig) *Hardware {
-	h := &Hardware{K: k, P: p, Fab: fab}
-	arena := newStackArena(fab.Nodes())
-	for i := 0; i < fab.Nodes(); i++ {
+// Fabrics builds one replica of the build function's fabric on every
+// shard kernel of g (the builders are deterministic, so replicas agree
+// on numbering). Past one shard it partitions the topology, one
+// leaf-group block per shard, and wires every replica's cross-shard
+// continuation path; one shard keeps its fabric unpartitioned and
+// returns a nil partition. It returns an error when the topology does
+// not support the group's shard count.
+func Fabrics(g *sim.ShardGroup, build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, p *cost.Params) ([]*myrinet.Fabric, *myrinet.Partition, error) {
+	fabs := make([]*myrinet.Fabric, g.Shards())
+	for s := range fabs {
+		fabs[s] = build(g.Shard(s).Kernel(), p)
+	}
+	if len(fabs) == 1 {
+		return fabs, nil, nil
+	}
+	part, err := fabs[0].Topology().Partition(len(fabs))
+	if err != nil {
+		return nil, nil, err
+	}
+	for s := range fabs {
+		s := s
+		fabs[s].SetShard(part, s, func(owner int, at sim.Time, pkt *myrinet.Packet) {
+			g.Shard(s).Post(owner, at, fabs[owner].ResumeCross, pkt)
+		})
+	}
+	return fabs, part, nil
+}
+
+// place builds every node's hardware (SBus, host CPU, LANai) from one
+// arena, on the kernel and fabric replica of the shard that owns it.
+func place(g *sim.ShardGroup, part *myrinet.Partition, p *cost.Params, fabs []*myrinet.Fabric, qc lanai.QueueConfig) *Hardware {
+	n := fabs[0].Nodes()
+	h := &Hardware{
+		K: g.Shard(0).Kernel(), Group: g, Part: part, P: p, Fab: fabs[0], Fabs: fabs,
+		Buses:  make([]*sbus.Bus, n),
+		CPUs:   make([]*host.CPU, n),
+		Devs:   make([]*lanai.Device, n),
+		stacks: make([]*nodeStack, n),
+	}
+	arena := newStackArena(n)
+	for id := 0; id < n; id++ {
+		s := part.Owner(id)
+		k := g.Shard(s).Kernel()
 		st := arena.alloc()
-		bus := sbus.NewAt(&st.bus, k, p, fmt.Sprintf("sbus%d", i))
-		h.Buses = append(h.Buses, bus)
-		h.CPUs = append(h.CPUs, host.NewAt(&st.cpu, k, p, bus, i))
-		h.Devs = append(h.Devs, lanai.NewAt(&st.dev, k, p, bus, fab, i, qc))
-		h.stacks = append(h.stacks, st)
+		h.Buses[id] = sbus.NewAt(&st.bus, k, p, fmt.Sprintf("sbus%d", id))
+		h.CPUs[id] = host.NewAt(&st.cpu, k, p, h.Buses[id], id)
+		h.Devs[id] = lanai.NewAt(&st.dev, k, p, h.Buses[id], fabs[s], id, qc)
+		h.stacks[id] = st
 	}
 	return h
 }
@@ -130,23 +177,39 @@ func NewFM(n int, cfg core.Config, p *cost.Params) *FM {
 	if n > ports {
 		ports = n
 	}
-	hw := NewHardware(n, p, cfg.Queues(p), ports)
-	return newFMOn(hw, cfg)
+	return newFMOn(NewHardware(n, p, cfg.Queues(p), ports), cfg)
 }
 
 // NewFMOnFabric runs the FM layer on an existing fabric.
 func NewFMOnFabric(k *sim.Kernel, p *cost.Params, fab *myrinet.Fabric, cfg core.Config) *FM {
-	hw := NewHardwareOnFabric(k, p, fab, cfg.Queues(p))
-	return newFMOn(hw, cfg)
+	return newFMOn(NewHardwareOnFabric(k, p, fab, cfg.Queues(p)), cfg)
 }
 
 // NewFMFrom builds an FM cluster on a fresh kernel around the fabric
 // the build function constructs — the generic form behind NewFMLine and
-// NewFMClos, and the constructor the workload drivers use to run any
-// topology spec through the full stack.
+// NewFMClos, and NewFMShardedFrom at one shard.
 func NewFMFrom(build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, cfg core.Config, p *cost.Params) *FM {
-	k := sim.NewKernel()
-	return NewFMOnFabric(k, p, build(k, p), cfg)
+	c, err := NewFMShardedFrom(build, cfg, p, 1)
+	if err != nil {
+		panic(err) // one shard never partitions
+	}
+	return c
+}
+
+// NewFMShardedFrom builds an FM cluster co-simulated by `shards`
+// kernels around the fabric the build function constructs: the
+// constructor the workload drivers use to run any topology spec through
+// the full stack. The lookahead window is the switch latency: every
+// cross-shard hop crosses a leaf/spine link, so a continuation is
+// always posted at least one SwitchLatency ahead. It returns an error
+// when the topology does not support the shard count.
+func NewFMShardedFrom(build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, cfg core.Config, p *cost.Params, shards int) (*FM, error) {
+	g := sim.NewShardGroup(shards, p.SwitchLatency)
+	fabs, part, err := Fabrics(g, build, p)
+	if err != nil {
+		return nil, err
+	}
+	return newFMOn(place(g, part, p, fabs, cfg.Queues(p)), cfg), nil
 }
 
 // NewFMLine builds an FM cluster on a linear multi-switch fabric
@@ -169,101 +232,32 @@ func NewFMClos(spines, leaves, nodesPerLeaf, ports int, cfg core.Config, p *cost
 }
 
 func newFMOn(hw *Hardware, cfg core.Config) *FM {
-	c := &FM{Hardware: hw, Cfg: cfg}
+	n := len(hw.Devs)
+	c := &FM{Hardware: hw, Cfg: cfg, EPs: make([]*core.Endpoint, n), LCPs: make([]*lcp.LCP, n)}
 	for i := range hw.Devs {
 		st := hw.stacks[i]
-		c.EPs = append(c.EPs, core.NewAt(&st.ep, hw.CPUs[i], hw.Devs[i], cfg, hw.P))
-		c.LCPs = append(c.LCPs, lcp.StartAt(&st.lcp, hw.Devs[i], cfg.LCPOptions(hw.P)))
+		c.EPs[i] = core.NewAt(&st.ep, hw.CPUs[i], hw.Devs[i], cfg, hw.P)
+		c.LCPs[i] = lcp.StartAt(&st.lcp, hw.Devs[i], cfg.LCPOptions(hw.P))
 	}
 	return c
 }
 
-// Start launches app as node id's application process.
+// Start launches app as node id's application process, on the shard
+// that owns the node.
 func (c *FM) Start(id int, app func(ep *core.Endpoint)) {
 	ep := c.EPs[id]
 	c.CPUs[id].Start(func() { app(ep) })
 }
 
 // Run executes the simulation to quiescence.
-func (c *Hardware) Run() error { return c.K.RunAll() }
+func (c *Hardware) Run() error { return c.Group.Run() }
 
 // RunFor executes the simulation up to the given virtual time horizon.
-func (c *Hardware) RunFor(d sim.Duration) error { return c.K.Run(sim.Time(d)) }
-
-// ShardedFM is an FM cluster co-simulated by a group of shard kernels:
-// one fabric replica per shard, every node's full stack (SBus, host,
-// LANai, endpoint, LCP) built on the kernel of the shard that owns the
-// node's leaf switch. Indexing is global — CPUs[id], EPs[id] and
-// friends work for every node id regardless of which shard simulates
-// it; only cross-shard packet hops pay barrier latency.
-type ShardedFM struct {
-	Group *sim.ShardGroup
-	Part  *myrinet.Partition
-	P     *cost.Params
-	Cfg   core.Config
-	Fabs  []*myrinet.Fabric // per shard
-	Buses []*sbus.Bus       // per node, on the owning shard's kernel
-	CPUs  []*host.CPU
-	Devs  []*lanai.Device
-	EPs   []*core.Endpoint
-	LCPs  []*lcp.LCP
+// Only a one-shard machine can stop at a horizon: the shard group runs
+// to quiescence, so RunFor on a sharded machine is an error.
+func (c *Hardware) RunFor(d sim.Duration) error {
+	if n := c.Group.Shards(); n > 1 {
+		return fmt.Errorf("cluster: RunFor needs a one-shard machine, this one runs on %d shards", n)
+	}
+	return c.K.Run(sim.Time(d))
 }
-
-// NewFMShardedFrom builds an FM cluster partitioned across `shards`
-// kernels around the fabric the build function constructs (one replica
-// per shard; the builders are deterministic, so replicas agree on
-// numbering). The lookahead window is the switch latency: every
-// cross-shard hop crosses a leaf/spine link, so a continuation is
-// always posted at least one SwitchLatency ahead. It returns an error
-// when the topology does not support the shard count.
-func NewFMShardedFrom(build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, cfg core.Config, p *cost.Params, shards int) (*ShardedFM, error) {
-	g := sim.NewShardGroup(shards, p.SwitchLatency)
-	fabs := make([]*myrinet.Fabric, shards)
-	for s := range fabs {
-		fabs[s] = build(g.Shard(s).Kernel(), p)
-	}
-	part, err := fabs[0].Topology().Partition(shards)
-	if err != nil {
-		return nil, err
-	}
-	for s := range fabs {
-		s := s
-		fabs[s].SetShard(part, s, func(owner int, at sim.Time, pkt *myrinet.Packet) {
-			g.Shard(s).Post(owner, at, fabs[owner].ResumeCross, pkt)
-		})
-	}
-
-	n := fabs[0].Nodes()
-	c := &ShardedFM{
-		Group: g, Part: part, P: p, Cfg: cfg, Fabs: fabs,
-		Buses: make([]*sbus.Bus, n),
-		CPUs:  make([]*host.CPU, n),
-		Devs:  make([]*lanai.Device, n),
-		EPs:   make([]*core.Endpoint, n),
-		LCPs:  make([]*lcp.LCP, n),
-	}
-	qc := cfg.Queues(p)
-	arena := newStackArena(n)
-	for id := 0; id < n; id++ {
-		s := part.NodeShard[id]
-		k := g.Shard(s).Kernel()
-		st := arena.alloc()
-		bus := sbus.NewAt(&st.bus, k, p, fmt.Sprintf("sbus%d", id))
-		cpu := host.NewAt(&st.cpu, k, p, bus, id)
-		dev := lanai.NewAt(&st.dev, k, p, bus, fabs[s], id, qc)
-		c.Buses[id], c.CPUs[id], c.Devs[id] = bus, cpu, dev
-		c.EPs[id] = core.NewAt(&st.ep, cpu, dev, cfg, p)
-		c.LCPs[id] = lcp.StartAt(&st.lcp, dev, cfg.LCPOptions(p))
-	}
-	return c, nil
-}
-
-// Start launches app as node id's application process on the shard
-// that owns the node.
-func (c *ShardedFM) Start(id int, app func(ep *core.Endpoint)) {
-	ep := c.EPs[id]
-	c.CPUs[id].Start(func() { app(ep) })
-}
-
-// Run executes the sharded simulation to quiescence.
-func (c *ShardedFM) Run() error { return c.Group.Run() }

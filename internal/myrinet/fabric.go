@@ -305,7 +305,7 @@ func (f *Fabric) Inject(p *Packet) sim.Time {
 	} else {
 		route = f.router.route(p.Src, p.Dst)
 	}
-	if f.sinks[p.Dst] == nil && (f.part == nil || f.part.NodeShard[p.Dst] == f.shard) {
+	if f.sinks[p.Dst] == nil && f.part.Owner(p.Dst) == f.shard {
 		panic(fmt.Sprintf("myrinet: node %d has no sink attached", p.Dst))
 	}
 	p.Seal()

@@ -287,7 +287,7 @@ func (f *Fabric) ApplyFaults(ws []FaultWindow) {
 		}
 	}
 	for id, wins := range fs.node {
-		mine := f.part == nil || f.part.NodeShard[id] == f.shard
+		mine := f.part.Owner(id) == f.shard
 		for _, w := range wins {
 			f.k.AtArg(w.start, f.faultToggleFn, toggleArg{count: mine, kind: NodeFault})
 			f.k.AtArg(w.end, f.faultToggleFn, toggleArg{recover: true, count: mine})

@@ -18,6 +18,15 @@ type Partition struct {
 	LeafGroups  int   // node-hosting switch count (the shard ceiling)
 }
 
+// Owner returns the shard that simulates node id. A nil partition is
+// an unpartitioned fabric, whose one shard 0 owns every node.
+func (p *Partition) Owner(id int) int {
+	if p == nil {
+		return 0
+	}
+	return p.NodeShard[id]
+}
+
 // LeafGroups returns the number of node-hosting switches — the maximum
 // shard count any partition of t can support.
 func (t *Topology) LeafGroups() int {

@@ -122,6 +122,15 @@ func NewShardGroup(n int, window Duration) *ShardGroup {
 	return g
 }
 
+// GroupOf wraps an existing kernel as a one-shard group, so a model
+// built on a caller's kernel runs through the same Run as a sharded
+// one.
+func GroupOf(k *Kernel) *ShardGroup {
+	g := &ShardGroup{}
+	g.shards = []*Shard{{g: g, k: k, out: make([][]xevent, 1)}}
+	return g
+}
+
 // Shards returns the number of shards in the group.
 func (g *ShardGroup) Shards() int { return len(g.shards) }
 

@@ -11,11 +11,12 @@ import (
 
 // This file is the drive core every driver shares: the pregeneration
 // prologue (pattern expansion, totals, route hints, hop accounting),
-// the latency-stamp wire format, and the per-rank FM drive body. The
-// public Drive* entry points in driver.go / sharded.go / faultdrive.go
-// / soak.go differ only in which engine they build (single kernel or
-// shard group), which stack level they run, and how they terminate —
-// everything else lives here exactly once.
+// the latency-stamp wire format, the per-shard result merge, and the
+// per-rank FM drive body. Every batch drive runs on a shard group, one
+// shard being the single kernel; the drive bodies in driver.go (raw,
+// closed-loop FM, MPI) and soak.go (open-loop FM) differ only in which
+// stack level they run and how they terminate — everything else lives
+// here exactly once.
 
 // sendSize resolves one send's payload size against the driver default.
 func sendSize(s Send, def int) int {
@@ -114,6 +115,24 @@ func prepare(spec FabricSpec, pat Pattern, size int, fabs ...*myrinet.Fabric) (r
 	return res, sends, expect, maxSize
 }
 
+// mergeLatency folds per-shard histograms into the result in shard
+// order (bucket merging is order-independent, but a fixed order keeps
+// the fingerprint canonical).
+func mergeLatency(res *Result, hists []stats.Histogram) {
+	for i := range hists {
+		res.Latency.Merge(&hists[i])
+	}
+}
+
+// shardStats returns a drive's per-shard counters, nil for a one-shard
+// run.
+func shardStats(g *sim.ShardGroup) []sim.ShardStats {
+	if g.Shards() == 1 {
+		return nil
+	}
+	return g.Stats()
+}
+
 // stamp writes a virtual instant into the payload head so the receiver
 // can compute per-message latency; payloads shorter than the timestamp
 // skip it (the recorded distribution then only covers the stampable
@@ -141,29 +160,26 @@ func waitUntil(ep *core.Endpoint, at sim.Duration) {
 	}
 }
 
-// fmRank is the per-rank drive body shared by every FM-stack driver
-// (healthy, sharded, faulted): register handler 0 counting deliveries
+// fmRank is the per-rank body of the closed-loop FM drive (healthy,
+// sharded or faulted alike): register handler 0 counting deliveries
 // and recording stamped latency into lat, issue the send list paced by
 // each send's At instant while draining incoming traffic, then extract
 // until the expected share has arrived and nothing is outstanding.
 //
-// The two optional hooks are virtual-time-neutral when disabled, so
-// the healthy drivers are byte-identical to their pre-extraction form:
-// a non-nil last tracks the rank's final delivery instant (fault runs
-// measure Elapsed from it), and a settleAt past zero keeps the rank
-// polling after its own traffic completes, so frames bounced its way
-// late (a standalone ack, a strand released at a recovery) are requeued
-// and resent rather than rotting in the receive queue while their
-// original target spins forever.
+// last records the rank's final delivery instant (the drive's
+// LastDelivery). A settleAt past zero keeps the rank polling after its
+// own traffic completes, so frames bounced its way late (a standalone
+// ack, a strand released at a recovery) are requeued and resent rather
+// than rotting in the receive queue while their original target spins
+// forever; an empty fault timeline leaves it zero, so a healthy run
+// spends no virtual time on it.
 func fmRank(ep *core.Endpoint, sends sendSeq, expect, size int, buf []byte,
 	lat *stats.Histogram, last *sim.Time, settleAt sim.Time) {
 	got := 0
 	ep.RegisterHandler(0, func(src int, payload []byte) {
 		got++
-		if last != nil {
-			if now := ep.Now(); now > *last {
-				*last = now
-			}
+		if now := ep.Now(); now > *last {
+			*last = now
 		}
 		if at, ok := stampedAt(payload); ok {
 			lat.Record(ep.Now().Sub(at))

@@ -42,7 +42,7 @@ type Result struct {
 	Latency stats.Histogram
 	// Shards holds per-shard runtime counters (events run, cross-shard
 	// posts, barrier windows, busy wall time) when the drive was split
-	// across shard kernels; nil for single-kernel runs.
+	// across shard kernels; nil for one-shard runs.
 	Shards []sim.ShardStats
 }
 
@@ -56,7 +56,7 @@ func (r *Result) MBps() float64 {
 
 // --- Raw fabric driver ---
 
-// rawDrive is the shared state of one DriveRaw: the sink counts
+// rawDrive is one shard's state of a raw drive: the sink counts
 // deliveries, records latency, and recycles packets; per-source
 // injectors pace themselves off the uplink-free instant. Both run as
 // argument-style events and pooled packets, so a run's steady state
@@ -112,68 +112,155 @@ func injectNext(a any) {
 	dr.k.AtArg(srcDone, injectNext, in)
 }
 
-// DriveRaw runs the pattern over a fresh fabric at the raw network
-// level (no host stack, so the fabric itself is the bottleneck): every
-// source injects its send list back-to-back, each next injection paced
-// by the instant the source's uplink frees (or the send's At time).
-// Frames carry the FM header size, size bytes of payload by default.
-func DriveRaw(spec FabricSpec, p *cost.Params, pat Pattern, size int) Result {
-	k := sim.NewKernel()
-	f := spec.Build(k, p)
-	n := f.Nodes()
+// DriveRawSharded runs the pattern over a fresh fabric at the raw
+// network level (no host stack, so the fabric itself is the
+// bottleneck), split over `shards` kernels: every source injects its
+// send list back-to-back, each next injection paced by the instant the
+// source's uplink frees (or the send's At time). Frames carry the FM
+// header size, size bytes of payload by default. Every source's
+// injector chain runs on the shard owning the source, sinks count
+// deliveries on the shard owning the destination, and packet heads
+// crossing shard boundaries travel as timestamped inter-shard events.
+//
+// For a fixed shard count the run is deterministic — boundary events
+// merge in a canonical order — but a sharded run is not required to
+// reproduce the one-shard timeline exactly: under contention one kernel
+// grants switch output ports in global injection order, while shards
+// grant them in merged head-arrival order. Uncontended traffic is
+// identical; contended aggregates differ within the reservation-order
+// ambiguity the model already has.
+func DriveRawSharded(spec FabricSpec, p *cost.Params, pat Pattern, size, shards int) Result {
+	g := sim.NewShardGroup(shards, p.SwitchLatency)
+	fabs, part, err := cluster.Fabrics(g, spec.Build, p)
+	if err != nil {
+		panic(fmt.Sprintf("workload: %s: %v", spec.Name, err))
+	}
+	n := fabs[0].Nodes()
 
-	res, sends, _, maxSize := prepare(spec, pat, size, f)
+	res, sends, _, maxSize := prepare(spec, pat, size, fabs...)
 
-	dr := &rawDrive{k: k, f: f, payload: make([]byte, maxSize), size: size, lat: &res.Latency}
-	for i := 0; i < n; i++ {
-		f.Attach(i, dr)
+	// One shared read-only payload buffer; per-shard drive state so no
+	// counter is touched by two kernels.
+	payload := make([]byte, maxSize)
+	hists := make([]stats.Histogram, shards)
+	drs := make([]*rawDrive, shards)
+	for s := range drs {
+		drs[s] = &rawDrive{k: g.Shard(s).Kernel(), f: fabs[s], payload: payload, size: size, lat: &hists[s]}
+	}
+	for id := 0; id < n; id++ {
+		s := part.Owner(id)
+		fabs[s].Attach(id, drs[s])
 	}
 	for src := 0; src < n; src++ {
 		var at sim.Time
 		if q := sends[src]; q.Len() > 0 {
 			at = sim.Time(q.At(0).At)
 		}
-		k.AtArg(at, injectNext, &rawInjector{dr: dr, hdr: p.FMHeaderBytes, src: src, sends: sends[src]})
+		dr := drs[part.Owner(src)]
+		dr.k.AtArg(at, injectNext, &rawInjector{dr: dr, hdr: p.FMHeaderBytes, src: src, sends: sends[src]})
 	}
-	if err := k.RunAll(); err != nil {
+	if err := g.Run(); err != nil {
 		panic(err)
 	}
-	if dr.delivered != res.Messages {
-		panic(fmt.Sprintf("workload: %s on %s delivered %d/%d packets",
-			pat.Name(), spec.Name, dr.delivered, res.Messages))
+
+	delivered := 0
+	var last sim.Time
+	for _, dr := range drs {
+		delivered += dr.delivered
+		if dr.last > last {
+			last = dr.last
+		}
 	}
-	res.Elapsed = sim.Duration(dr.last)
+	if delivered != res.Messages {
+		panic(fmt.Sprintf("workload: %s on %s delivered %d/%d packets",
+			pat.Name(), spec.Name, delivered, res.Messages))
+	}
+	mergeLatency(&res, hists)
+	res.Elapsed = sim.Duration(last)
+	res.Shards = shardStats(g)
 	return res
 }
 
 // --- FM-stack driver ---
 
-// DriveFM runs the pattern through the complete FM 1.0 stack (hosts,
-// SBus, LANai, LCP, flow control on every node) on the spec's fabric
-// using handler 0: every rank issues its send list as fast as the
-// layers allow, draining incoming messages while sending, then extracts
-// until it has received its expected share and its outstanding frames
-// are acknowledged.
+// DriveFM runs the pattern through the complete FM 1.0 stack on one
+// kernel: DriveFMSharded at one shard.
 func DriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size int) Result {
-	c := cluster.NewFMFrom(spec.Build, cfg, p)
-	n := c.Fab.Nodes()
+	return DriveFMSharded(spec, cfg, p, pat, size, 1)
+}
 
-	res, sends, expect, maxSize := prepare(spec, pat, size, c.Fab)
+// DriveFMSharded runs the pattern through the complete FM 1.0 stack on
+// a healthy fabric split over `shards` kernels: DriveFMFaultsSharded
+// with an empty fault timeline.
+func DriveFMSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size, shards int) Result {
+	return DriveFMFaultsSharded(spec, cfg, p, pat, size, nil, shards).Result
+}
+
+// DriveFMFaultsSharded is the one closed-loop FM drive. It runs the
+// pattern through the complete FM 1.0 stack (hosts, SBus, LANai, LCP,
+// flow control on every node) on the spec's fabric using handler 0,
+// split over `shards` kernels, with the compiled fault timeline ws
+// (empty for a healthy run) installed on every fabric replica. Every
+// rank issues its send list as fast as the layers allow, draining
+// incoming messages while sending, then extracts until it has received
+// its expected share and its outstanding frames are acknowledged (and,
+// under faults, until the settle horizon; see fmRank). Each rank's full
+// stack lives on the shard owning its leaf, so only fabric hops between
+// shards cross the barrier; every replica installs the identical
+// timeline, so toggles fire at the same virtual instants on each
+// replica's own kernel and the replicas' routers never disagree.
+//
+// Elapsed is the instant the cluster went quiescent and LastDelivery
+// the instant the last message reached a handler. Panics if any message
+// goes undelivered or duplicated or any frame stays stranded — a
+// timeline whose windows all close guarantees none of these.
+func DriveFMFaultsSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size int, ws []myrinet.FaultWindow, shards int) FaultResult {
+	c, err := cluster.NewFMShardedFrom(spec.Build, cfg, p, shards)
+	if err != nil {
+		panic(fmt.Sprintf("workload: %s: %v", spec.Name, err))
+	}
+	for _, f := range c.Fabs {
+		f.ApplyFaults(ws)
+	}
+	n := len(c.EPs)
+
+	base, sends, expect, maxSize := prepare(spec, pat, size, c.Fabs...)
+	res := FaultResult{Result: base}
+	settleAt := settleTime(ws, cfg.RetryDelay)
 
 	// One pre-sized slab instead of one send buffer per rank: at scale
-	// (the 4096-node sweep) per-rank allocations are pure overhead.
+	// (the 4096-node sweep) per-rank allocations are pure overhead. Each
+	// rank writes only its own slice; latency histograms are per shard
+	// and merged after the run.
 	slab := make([]byte, n*maxSize)
+	lasts := make([]sim.Time, n)
+	hists := make([]stats.Histogram, shards)
 	for id := 0; id < n; id++ {
 		id := id
 		c.Start(id, func(ep *core.Endpoint) {
 			fmRank(ep, sends[id], expect[id], size, slab[id*maxSize:(id+1)*maxSize],
-				&res.Latency, nil, 0)
+				&hists[c.Part.Owner(id)], &lasts[id], settleAt)
 		})
 	}
 	if err := c.Run(); err != nil {
 		panic(err)
 	}
-	res.Elapsed = sim.Duration(c.K.Now())
+	mergeLatency(&res.Result, hists)
+	res.Elapsed = sim.Duration(c.Group.Now())
+	for _, t := range lasts {
+		if d := sim.Duration(t); d > res.LastDelivery {
+			res.LastDelivery = d
+		}
+	}
+	res.Shards = shardStats(c.Group)
+	for _, ep := range c.EPs {
+		mergeCoreStats(&res.Stats, ep.Stats())
+	}
+	for _, f := range c.Fabs {
+		res.Fault.Merge(f.FaultStats())
+		res.Stranded += f.PendingStranded()
+	}
+	checkFaultRun(&res, spec.Name, pat.Name())
 	return res
 }
 

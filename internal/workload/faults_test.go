@@ -127,7 +127,7 @@ func TestDriveFMFaultsDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := DriveFMFaults(spec, core.DefaultConfig(), cost.Default(), AllToAll{Rounds: 2}, 64, ws)
+	res := DriveFMFaultsSharded(spec, core.DefaultConfig(), cost.Default(), AllToAll{Rounds: 2}, 64, ws, 1)
 	if int(res.Stats.Delivered) != res.Messages {
 		t.Fatalf("delivered %d/%d", res.Stats.Delivered, res.Messages)
 	}
@@ -137,42 +137,44 @@ func TestDriveFMFaultsDelivers(t *testing.T) {
 	if res.Fault.Downs() == 0 || res.Fault.Recoveries == 0 {
 		t.Fatalf("fault toggles unobserved: %+v", res.Fault)
 	}
-	if res.Elapsed <= 0 {
-		t.Fatalf("Elapsed = %v", res.Elapsed)
+	if res.LastDelivery <= 0 || res.LastDelivery > res.Elapsed {
+		t.Fatalf("LastDelivery = %v, Elapsed = %v", res.LastDelivery, res.Elapsed)
 	}
 }
 
 // TestDriveFMFaultsEmptyPlanMatchesDriveFM pins the no-fault behavior:
 // with no windows the fault driver observes the same traffic as DriveFM
-// (message totals and latency distribution; Elapsed is defined
-// differently — last delivery vs. cluster quiescence — so it is only
-// bounded, not equal).
+// (message totals, latency distribution and quiescence instant), and
+// its last delivery lands no later than DriveFM's quiescence.
 func TestDriveFMFaultsEmptyPlanMatchesDriveFM(t *testing.T) {
 	spec := ClosSpec(16)
 	cfg := core.DefaultConfig()
 	p := cost.Default()
 	pat := AllToAll{Rounds: 1}
 	clean := DriveFM(spec, cfg, p, pat, 64)
-	faulted := DriveFMFaults(spec, cfg, p, pat, 64, nil)
+	faulted := DriveFMFaultsSharded(spec, cfg, p, pat, 64, nil, 1)
 	if faulted.Messages != clean.Messages || faulted.PayloadBytes != clean.PayloadBytes {
 		t.Fatalf("totals differ: %+v vs %+v", faulted.Result, clean)
 	}
 	if faulted.Latency.Summary() != clean.Latency.Summary() {
 		t.Fatal("latency distribution differs with an empty plan")
 	}
-	if faulted.Elapsed > clean.Elapsed {
-		t.Fatalf("last delivery %v after quiescence %v", faulted.Elapsed, clean.Elapsed)
+	if faulted.Elapsed != clean.Elapsed {
+		t.Fatalf("quiescence %v, DriveFM %v", faulted.Elapsed, clean.Elapsed)
+	}
+	if faulted.LastDelivery > clean.Elapsed {
+		t.Fatalf("last delivery %v after quiescence %v", faulted.LastDelivery, clean.Elapsed)
 	}
 	if faulted.Stats.Retransmits != 0 || faulted.Stats.NetBounces != 0 || faulted.Fault.Downs() != 0 {
 		t.Fatalf("phantom fault activity on an empty plan: %+v %+v", faulted.Stats, faulted.Fault)
 	}
 }
 
-// TestDriveFMFaultsShardedAgrees drives the same plan single-kernel and
+// TestDriveFMFaultsShardedAgrees drives the same plan on one shard and
 // across 2 and 4 shards: delivery is complete everywhere and the
 // contention-invariant aggregates agree (totals, zero stranding, zero
 // duplicates); timing-dependent counters may differ across shard counts
-// within the reservation-order ambiguity documented in sharded.go.
+// within the reservation-order ambiguity documented on DriveRawSharded.
 func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 	spec := ClosSpec(32)
 	cfg := core.DefaultConfig()
@@ -184,7 +186,7 @@ func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := AllToAll{Rounds: 1}
-	single := DriveFMFaults(spec, cfg, p, pat, 64, ws)
+	single := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 1)
 	for _, shards := range []int{2, 4} {
 		sh := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, shards)
 		if sh.Messages != single.Messages || int(sh.Stats.Delivered) != sh.Messages {
@@ -200,7 +202,7 @@ func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 	// And a fixed shard count reproduces itself exactly.
 	a := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 2)
 	b := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 2)
-	if a.Elapsed != b.Elapsed || a.Stats != b.Stats || a.Fault != b.Fault ||
+	if a.Elapsed != b.Elapsed || a.LastDelivery != b.LastDelivery || a.Stats != b.Stats || a.Fault != b.Fault ||
 		a.Latency.Summary() != b.Latency.Summary() {
 		t.Fatal("sharded faulted run is not reproducible")
 	}

@@ -8,17 +8,44 @@ import (
 	"fm/internal/sim"
 )
 
-// TestDriveRawShardedDelegatesAtOne pins the `-shards 1` contract at
-// the driver level: shards=1 must be the single-kernel path itself,
-// not a one-shard group that happens to agree.
-func TestDriveRawShardedDelegatesAtOne(t *testing.T) {
+// TestOneShardRegression pins the one-shard outcome of the raw and the
+// closed-loop FM drive by value, so the engine every default run uses
+// (a one-shard group over an unpartitioned fabric) cannot drift from
+// the published single-kernel numbers: completion time in ps, the
+// latency distribution's count, mean and max, and the mean hop count.
+func TestOneShardRegression(t *testing.T) {
 	p := cost.Default()
-	pat := UniformRandom{Seed: 7, Packets: 8}
-	a := DriveRaw(ClosSpec(32), p, pat, 112)
-	b := DriveRawSharded(ClosSpec(32), p, pat, 112, 1)
-	if a.Elapsed != b.Elapsed || a.Messages != b.Messages || a.Latency.Count() != b.Latency.Count() ||
-		a.Latency.Mean() != b.Latency.Mean() || a.MeanHops != b.MeanHops {
-		t.Fatalf("shards=1 diverged from DriveRaw:\n got %+v\nwant %+v", b, a)
+	for _, tc := range []struct {
+		name               string
+		res                Result
+		messages           int
+		elapsed, mean, max int64 // ps
+		meanHops           float64
+	}{
+		{"raw clos-32 uniform-random",
+			DriveRawSharded(ClosSpec(32), p, UniformRandom{Seed: 7, Packets: 8}, 112, 1),
+			256, 41650000, 8988671, 30450000, 2.9375},
+		{"fm clos-16 all-to-all",
+			DriveFMSharded(ClosSpec(16), core.DefaultConfig(), p, AllToAll{Rounds: 1}, 112, 1),
+			240, 290742000, 71341133, 112640000, 2.6},
+	} {
+		r := tc.res
+		if r.Messages != tc.messages || r.Latency.Count() != uint64(tc.messages) {
+			t.Errorf("%s: %d messages, %d latencies, pinned %d", tc.name, r.Messages, r.Latency.Count(), tc.messages)
+		}
+		if int64(r.Elapsed) != tc.elapsed {
+			t.Errorf("%s: elapsed = %d ps, pinned %d ps", tc.name, r.Elapsed, tc.elapsed)
+		}
+		if int64(r.Latency.Mean()) != tc.mean || int64(r.Latency.Max()) != tc.max {
+			t.Errorf("%s: latency mean/max = %d/%d ps, pinned %d/%d ps",
+				tc.name, r.Latency.Mean(), r.Latency.Max(), tc.mean, tc.max)
+		}
+		if r.MeanHops != tc.meanHops {
+			t.Errorf("%s: mean hops = %v, pinned %v", tc.name, r.MeanHops, tc.meanHops)
+		}
+		if r.Shards != nil {
+			t.Errorf("%s: one-shard run reported shard stats %+v", tc.name, r.Shards)
+		}
 	}
 }
 

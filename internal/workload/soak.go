@@ -26,14 +26,14 @@ import (
 // long as the source keeps offering, and the windowed p99 blows up.
 // That is the signature the batch drivers structurally cannot show.
 //
-// The soak timeline is always computed on the canonical single-kernel
-// engine. Sharded execution is deterministic for a fixed shard count,
-// but under contention it grants switch output ports in merged
-// head-arrival order where the single kernel grants them in injection
-// order, so a contended timeline is not shard-invariant — and a
-// saturation study is contended by definition. Running the one
-// canonical engine is what makes `fmbench -experiment soak` output
-// byte-identical at any accepted -shards value.
+// The soak timeline is always computed on one shard, the canonical
+// single-kernel engine. Sharded execution is deterministic for a fixed
+// shard count, but under contention it grants switch output ports in
+// merged head-arrival order where the single kernel grants them in
+// injection order, so a contended timeline is not shard-invariant — and
+// a saturation study is contended by definition. That is why `fmbench
+// -experiment soak` rejects -shards > 1 rather than pretending to honor
+// it.
 
 // TerminationMode selects how much of the timeline a soak run reports.
 type TerminationMode int
@@ -69,7 +69,7 @@ type SoakOptions struct {
 	// the fabric before traffic starts, so recovery transients (delivery
 	// dips, retransmit bursts, sojourn spikes) show up in the windowed
 	// series. Ranks then stay alive polling until the settle horizon
-	// past the last recovery, exactly like the fault drivers.
+	// past the last recovery, exactly like a faulted FM drive.
 	Faults []myrinet.FaultWindow
 }
 

@@ -180,7 +180,7 @@ func TestDriversDeterministicAndConsistent(t *testing.T) {
 		name string
 		run  func() Result
 	}{
-		{"raw", func() Result { return DriveRaw(spec, p, pat, size) }},
+		{"raw", func() Result { return DriveRawSharded(spec, p, pat, size, 1) }},
 		{"fm", func() Result { return DriveFM(spec, core.DefaultConfig(), p, pat, size) }},
 		{"mpi", func() Result { return DriveMPI(spec, core.DefaultConfig().WithFrame(size), p, pat, size) }},
 	}
@@ -215,7 +215,7 @@ func TestDriversDeterministicAndConsistent(t *testing.T) {
 func TestDriveRawPerSendSizes(t *testing.T) {
 	p := cost.Default()
 	pat := UniformRandom{Seed: 5, Packets: 8, MinBytes: 16, MaxBytes: 96}
-	res := DriveRaw(CrossbarSpec(4), p, pat, 112)
+	res := DriveRawSharded(CrossbarSpec(4), p, pat, 112, 1)
 	var want int64
 	for src := 0; src < 4; src++ {
 		for _, s := range pat.Gen(src, 4) {
@@ -234,8 +234,8 @@ func TestDriveRawPerSendSizes(t *testing.T) {
 // past a horizon cannot finish before it.
 func TestDriveRawHonorsAt(t *testing.T) {
 	p := cost.Default()
-	base := DriveRaw(CrossbarSpec(4), p, delayed{0}, 112)
-	shifted := DriveRaw(CrossbarSpec(4), p, delayed{base.Elapsed * 2}, 112)
+	base := DriveRawSharded(CrossbarSpec(4), p, delayed{0}, 112, 1)
+	shifted := DriveRawSharded(CrossbarSpec(4), p, delayed{base.Elapsed * 2}, 112, 1)
 	if shifted.Elapsed < base.Elapsed*2 {
 		t.Errorf("shifted run finished at %v, before the %v horizon", shifted.Elapsed, base.Elapsed*2)
 	}
