@@ -3,8 +3,8 @@
 //
 // Every node integrates a slice of f(x) = 4/(1+x^2) over [0,1] — the
 // classic parallel-pi kernel — then the group combines partial sums with
-// an Allreduce over FM's short messages and checks agreement with a
-// Barrier-delimited Gather. The collectives run in O(log N) rounds of
+// one Allreduce, delimited by Barriers, through the MPI layer on FM
+// (internal/mpi). The collectives run in O(log N) rounds of
 // sub-128-byte messages: exactly the regime FM's n1/2 = 54 bytes targets.
 //
 // Run with: go run ./examples/collective
@@ -15,9 +15,9 @@ import (
 	"math"
 
 	"fm/internal/cluster"
-	"fm/internal/collective"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/mpi"
 	"fm/internal/sim"
 )
 
@@ -38,7 +38,7 @@ func main() {
 	for rank := 0; rank < nodes; rank++ {
 		rank := rank
 		c.Start(rank, func(ep *core.Endpoint) {
-			comm := collective.New(ep, nodes, handler)
+			comm := mpi.NewWorld(ep, nodes, handler)
 
 			// Local phase: integrate this node's slice, charging the
 			// simulated CPU for the arithmetic (~50 ns per step on a
@@ -52,7 +52,7 @@ func main() {
 
 			// Communication phase: one Allreduce produces pi everywhere.
 			comm.Barrier()
-			sum := comm.Allreduce([]float64{partial}, collective.Sum)
+			sum := comm.Allreduce([]float64{partial}, mpi.Sum)
 			pis[rank] = sum[0] * stepSize
 
 			comm.Barrier()

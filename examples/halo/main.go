@@ -25,9 +25,9 @@ import (
 	"math"
 
 	"fm/internal/cluster"
-	"fm/internal/collective"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/mpi"
 	"fm/internal/sim"
 	"fm/internal/workload"
 )
@@ -89,7 +89,7 @@ func main() {
 	for rank := 0; rank < nodes; rank++ {
 		rank := rank
 		c.Start(rank, func(ep *core.Endpoint) {
-			comm := collective.New(ep, nodes, hGroup)
+			comm := mpi.NewWorld(ep, nodes, hGroup)
 			left, right := rank-1, rank+1
 
 			// Local slice with halo cells at [0] and [local+1].

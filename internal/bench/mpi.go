@@ -136,30 +136,11 @@ func mpiLatPoint(mk mpiPairMaker, size, rounds int) metrics.LatPoint {
 	return metrics.LatPoint{N: size, OneWay: end.Sub(start) / sim.Duration(2*rounds)}
 }
 
-// mpiCurve sweeps one MPI configuration, parallelizing the independent
-// measurements exactly like hostCurve (disjoint result slots, so the
-// output is byte-identical at any worker count).
+// mpiCurve sweeps one MPI configuration.
 func mpiCurve(name string, mk mpiPairMaker, sizes []int, opt Options, withLat bool) Curve {
-	c := Curve{Name: name}
-	c.BW = make([]metrics.BWPoint, len(sizes))
-	if withLat {
-		c.Lat = make([]metrics.LatPoint, len(sizes))
-	}
-	var jobs []func()
-	for i, size := range sizes {
-		i, size := i, size
-		jobs = append(jobs, func() {
-			c.BW[i] = mpiStreamPoint(mk, size, opt.Packets)
-		})
-		if withLat {
-			jobs = append(jobs, func() {
-				c.Lat[i] = mpiLatPoint(mk, size, opt.Rounds)
-			})
-		}
-	}
-	runParallel(opt.Workers, jobs)
-	c.Fit = metrics.FitSweep(c.BW, 0)
-	return c
+	return sweepCurve(name, sizes, opt, withLat, 0,
+		func(size int) metrics.BWPoint { return mpiStreamPoint(mk, size, opt.Packets) },
+		func(size int) metrics.LatPoint { return mpiLatPoint(mk, size, opt.Rounds) })
 }
 
 // MPILayering regenerates the cost-of-layering comparison: MPI-on-FM

@@ -49,10 +49,13 @@ func apiMaker(v myriapi.Variant, p *cost.Params) pairMaker {
 	}
 }
 
-// hostCurve measures one layer configuration across the size sweep:
-// bandwidth always, latency when withLat is set. refR forwards the
-// reference r_inf for n1/2 (the API methodology).
-func hostCurve(name string, mk pairMaker, sizes []int, opt Options, withLat bool, refR float64) Curve {
+// sweepCurve measures one curve across the size sweep: bw at every
+// size, lat too when withLat is set. The points fan out over
+// runParallel, each writing its own result slot, so the curve is
+// byte-identical at any worker count. refR forwards the reference r_inf
+// for n1/2 (the API methodology).
+func sweepCurve(name string, sizes []int, opt Options, withLat bool, refR float64,
+	bw func(size int) metrics.BWPoint, lat func(size int) metrics.LatPoint) Curve {
 	c := Curve{Name: name, RefRInf: refR}
 	c.BW = make([]metrics.BWPoint, len(sizes))
 	if withLat {
@@ -60,31 +63,38 @@ func hostCurve(name string, mk pairMaker, sizes []int, opt Options, withLat bool
 	}
 	var jobs []func()
 	for i, size := range sizes {
-		i, size := i, size
-		jobs = append(jobs, func() {
-			elapsed, bw, err := metrics.Stream(mk(size), size, opt.Packets)
-			if err != nil {
-				panic(fmt.Sprintf("bench %s @%dB stream: %v", name, size, err))
-			}
-			c.BW[i] = metrics.BWPoint{
-				N:         size,
-				PerPacket: elapsed / sim.Duration(opt.Packets),
-				MBps:      bw,
-			}
-		})
+		jobs = append(jobs, func() { c.BW[i] = bw(size) })
 		if withLat {
-			jobs = append(jobs, func() {
-				lat, err := metrics.PingPong(mk(size), size, opt.Rounds)
-				if err != nil {
-					panic(fmt.Sprintf("bench %s @%dB pingpong: %v", name, size, err))
-				}
-				c.Lat[i] = metrics.LatPoint{N: size, OneWay: lat}
-			})
+			jobs = append(jobs, func() { c.Lat[i] = lat(size) })
 		}
 	}
 	runParallel(opt.Workers, jobs)
 	c.Fit = metrics.FitSweep(c.BW, refR)
 	return c
+}
+
+// hostCurve measures one host-to-host layer configuration across the
+// size sweep.
+func hostCurve(name string, mk pairMaker, sizes []int, opt Options, withLat bool, refR float64) Curve {
+	return sweepCurve(name, sizes, opt, withLat, refR,
+		func(size int) metrics.BWPoint {
+			elapsed, bw, err := metrics.Stream(mk(size), size, opt.Packets)
+			if err != nil {
+				panic(fmt.Sprintf("bench %s @%dB stream: %v", name, size, err))
+			}
+			return metrics.BWPoint{
+				N:         size,
+				PerPacket: elapsed / sim.Duration(opt.Packets),
+				MBps:      bw,
+			}
+		},
+		func(size int) metrics.LatPoint {
+			lat, err := metrics.PingPong(mk(size), size, opt.Rounds)
+			if err != nil {
+				panic(fmt.Sprintf("bench %s @%dB pingpong: %v", name, size, err))
+			}
+			return metrics.LatPoint{N: size, OneWay: lat}
+		})
 }
 
 // --- LANai-to-LANai drivers (Figure 3: no hosts, no SBus) ---
@@ -153,26 +163,9 @@ func lanaiLatPoint(p *cost.Params, streamed bool, size, rounds int) metrics.LatP
 
 // lanaiCurve sweeps one LCP loop structure.
 func lanaiCurve(name string, streamed bool, p *cost.Params, sizes []int, opt Options, withLat bool) Curve {
-	c := Curve{Name: name}
-	c.BW = make([]metrics.BWPoint, len(sizes))
-	if withLat {
-		c.Lat = make([]metrics.LatPoint, len(sizes))
-	}
-	var jobs []func()
-	for i, size := range sizes {
-		i, size := i, size
-		jobs = append(jobs, func() {
-			c.BW[i] = lanaiStreamPoint(p, streamed, size, opt.Packets)
-		})
-		if withLat {
-			jobs = append(jobs, func() {
-				c.Lat[i] = lanaiLatPoint(p, streamed, size, opt.Rounds)
-			})
-		}
-	}
-	runParallel(opt.Workers, jobs)
-	c.Fit = metrics.FitSweep(c.BW, 0)
-	return c
+	return sweepCurve(name, sizes, opt, withLat, 0,
+		func(size int) metrics.BWPoint { return lanaiStreamPoint(p, streamed, size, opt.Packets) },
+		func(size int) metrics.LatPoint { return lanaiLatPoint(p, streamed, size, opt.Rounds) })
 }
 
 // theoreticalCurve generates the Appendix A peak model: an LCP that does

@@ -1,4 +1,8 @@
-package collective
+// Package collective_test checks the collectives of the MPI layer
+// (package mpi) case by case: barrier synchronisation, broadcast,
+// reduce, allreduce, all-to-all, and collectives back to back. The
+// directory holds tests only; the collectives live in internal/mpi.
+package collective_test
 
 import (
 	"bytes"
@@ -8,42 +12,38 @@ import (
 	"fm/internal/cluster"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/mpi"
 	"fm/internal/sim"
 )
 
 const h = 3
 
-// group runs body on every node of an n-node cluster and returns it.
-func group(t *testing.T, n int, body func(c *Comm)) *cluster.FM {
+// group runs body on every node of an n-node cluster, each with a world
+// communicator on handler h, and runs the simulation to quiescence.
+func group(t *testing.T, n int, body func(c *mpi.Comm)) {
 	t.Helper()
 	cl := cluster.NewFM(n, core.DefaultConfig(), cost.Default())
 	for i := 0; i < n; i++ {
-		i := i
 		cl.Start(i, func(ep *core.Endpoint) {
-			body(New(ep, n, h))
-			// Drain trailing acks so the run quiesces cleanly.
-			for ep.Outstanding() > 0 {
-				ep.WaitIncoming()
-				ep.Extract()
-			}
+			body(mpi.NewWorld(ep, n, h))
 		})
 	}
 	if err := cl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return cl
 }
 
 func TestBarrierSynchronizes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		entered := make([]sim.Time, n)
 		exited := make([]sim.Time, n)
-		group(t, n, func(c *Comm) {
+		group(t, n, func(c *mpi.Comm) {
+			ep := c.Endpoint()
 			// Skew the entries so the barrier has real work to do.
-			c.ep.CPU().Advance(sim.Duration(c.Rank()) * 40 * sim.Microsecond)
-			entered[c.Rank()] = c.ep.Now()
+			ep.CPU().Advance(sim.Duration(c.Rank()) * 40 * sim.Microsecond)
+			entered[c.Rank()] = ep.Now()
 			c.Barrier()
-			exited[c.Rank()] = c.ep.Now()
+			exited[c.Rank()] = ep.Now()
 		})
 		var lastEnter sim.Time
 		for _, e := range entered {
@@ -61,17 +61,18 @@ func TestBarrierSynchronizes(t *testing.T) {
 }
 
 func TestRepeatedBarriers(t *testing.T) {
-	count := 0
-	group(t, 4, func(c *Comm) {
+	const n = 4
+	done := make([]int, n)
+	group(t, n, func(c *mpi.Comm) {
 		for i := 0; i < 10; i++ {
 			c.Barrier()
-		}
-		if c.Rank() == 0 {
-			count = 10
+			done[c.Rank()]++
 		}
 	})
-	if count != 10 {
-		t.Fatal("barriers did not complete")
+	for r, d := range done {
+		if d != 10 {
+			t.Errorf("rank %d completed %d of 10 barriers", r, d)
+		}
 	}
 }
 
@@ -79,12 +80,12 @@ func TestBroadcastSmall(t *testing.T) {
 	for _, n := range []int{2, 5, 8} {
 		msg := []byte("broadcast payload")
 		got := make([][]byte, n)
-		group(t, n, func(c *Comm) {
+		group(t, n, func(c *mpi.Comm) {
 			var data []byte
 			if c.Rank() == 2%n {
 				data = msg
 			}
-			got[c.Rank()] = c.Broadcast(2%n, data)
+			got[c.Rank()] = c.Bcast(2%n, data)
 		})
 		for r := 0; r < n; r++ {
 			if !bytes.Equal(got[r], msg) {
@@ -97,12 +98,12 @@ func TestBroadcastSmall(t *testing.T) {
 func TestBroadcastMultiFrame(t *testing.T) {
 	msg := bytes.Repeat([]byte{7, 13, 42}, 500) // 1500 B > one frame
 	got := make([][]byte, 4)
-	group(t, 4, func(c *Comm) {
+	group(t, 4, func(c *mpi.Comm) {
 		var data []byte
 		if c.Rank() == 0 {
 			data = msg
 		}
-		got[c.Rank()] = c.Broadcast(0, data)
+		got[c.Rank()] = c.Bcast(0, data)
 	})
 	for r := range got {
 		if !bytes.Equal(got[r], msg) {
@@ -114,9 +115,9 @@ func TestBroadcastMultiFrame(t *testing.T) {
 func TestReduceSum(t *testing.T) {
 	for _, n := range []int{2, 4, 7, 8} {
 		var result []float64
-		group(t, n, func(c *Comm) {
+		group(t, n, func(c *mpi.Comm) {
 			vals := []float64{float64(c.Rank() + 1), 2}
-			if r := c.Reduce(0, vals, Sum); c.Rank() == 0 {
+			if r := c.Reduce(0, vals, mpi.Sum); c.Rank() == 0 {
 				result = r
 			} else if r != nil {
 				t.Errorf("non-root rank %d got a result", c.Rank())
@@ -132,16 +133,16 @@ func TestReduceSum(t *testing.T) {
 func TestReduceMaxMinProd(t *testing.T) {
 	const n = 6
 	var maxV, minV, prodV float64
-	group(t, n, func(c *Comm) {
+	group(t, n, func(c *mpi.Comm) {
 		v := []float64{float64(c.Rank()) - 2}
-		if r := c.Reduce(0, v, Max); c.Rank() == 0 {
+		if r := c.Reduce(0, v, mpi.Max); c.Rank() == 0 {
 			maxV = r[0]
 		}
-		if r := c.Reduce(0, v, Min); c.Rank() == 0 {
+		if r := c.Reduce(0, v, mpi.Min); c.Rank() == 0 {
 			minV = r[0]
 		}
 		w := []float64{float64(c.Rank() + 1)}
-		if r := c.Reduce(0, w, Prod); c.Rank() == 0 {
+		if r := c.Reduce(0, w, mpi.Prod); c.Rank() == 0 {
 			prodV = r[0]
 		}
 	})
@@ -153,8 +154,8 @@ func TestReduceMaxMinProd(t *testing.T) {
 func TestAllreduce(t *testing.T) {
 	const n = 8
 	results := make([][]float64, n)
-	group(t, n, func(c *Comm) {
-		results[c.Rank()] = c.Allreduce([]float64{1, float64(c.Rank())}, Sum)
+	group(t, n, func(c *mpi.Comm) {
+		results[c.Rank()] = c.Allreduce([]float64{1, float64(c.Rank())}, mpi.Sum)
 	})
 	for r, got := range results {
 		if got[0] != n || got[1] != float64(n*(n-1))/2 {
@@ -167,12 +168,12 @@ func TestAllreduceLargeVector(t *testing.T) {
 	const n = 4
 	const dim = 100 // 800 B of floats: multi-frame reduce + broadcast
 	results := make([][]float64, n)
-	group(t, n, func(c *Comm) {
+	group(t, n, func(c *mpi.Comm) {
 		v := make([]float64, dim)
 		for i := range v {
 			v[i] = float64(c.Rank()*dim + i)
 		}
-		results[c.Rank()] = c.Allreduce(v, Sum)
+		results[c.Rank()] = c.Allreduce(v, mpi.Sum)
 	})
 	for i := 0; i < dim; i++ {
 		want := 0.0
@@ -187,32 +188,15 @@ func TestAllreduceLargeVector(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	const n = 5
-	var got [][]byte
-	group(t, n, func(c *Comm) {
-		mine := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1)
-		if g := c.Gather(1, mine); c.Rank() == 1 {
-			got = g
-		}
-	})
-	for r := 0; r < n; r++ {
-		want := bytes.Repeat([]byte{byte(r)}, r+1)
-		if !bytes.Equal(got[r], want) {
-			t.Errorf("gather[%d] = %v, want %v", r, got[r], want)
-		}
-	}
-}
-
 func TestAllToAll(t *testing.T) {
 	const n = 4
 	results := make([][][]byte, n)
-	group(t, n, func(c *Comm) {
+	group(t, n, func(c *mpi.Comm) {
 		data := make([][]byte, n)
 		for j := 0; j < n; j++ {
 			data[j] = []byte{byte(c.Rank()), byte(j)}
 		}
-		results[c.Rank()] = c.AllToAll(data)
+		results[c.Rank()] = c.Alltoall(data)
 	})
 	for j := 0; j < n; j++ {
 		for i := 0; i < n; i++ {
@@ -225,24 +209,21 @@ func TestAllToAll(t *testing.T) {
 }
 
 func TestMixedCollectiveSequence(t *testing.T) {
-	// Phases must keep back-to-back heterogeneous collectives separate.
+	// Fresh internal tags must keep back-to-back heterogeneous
+	// collectives separate: the Bcast's payload depends on the Allreduce.
 	const n = 4
-	var sum float64
-	var bcast []byte
-	group(t, n, func(c *Comm) {
+	sums := make([]float64, n)
+	bcasts := make([][]byte, n)
+	group(t, n, func(c *mpi.Comm) {
 		c.Barrier()
-		r := c.Allreduce([]float64{1}, Sum)
+		r := c.Allreduce([]float64{1}, mpi.Sum)
 		c.Barrier()
-		b := c.Broadcast(3, []byte{byte(int(r[0]))})
-		if c.Rank() == 0 {
-			sum = r[0]
-			bcast = b
-		}
+		sums[c.Rank()] = r[0]
+		bcasts[c.Rank()] = c.Bcast(3, []byte{byte(int(r[0]))})
 	})
-	if sum != n {
-		t.Errorf("sum = %v", sum)
-	}
-	if len(bcast) != 1 || bcast[0] != byte(n) {
-		t.Errorf("bcast = %v", bcast)
+	for r := 0; r < n; r++ {
+		if sums[r] != n || !bytes.Equal(bcasts[r], []byte{n}) {
+			t.Errorf("rank %d: sum %v, bcast %v", r, sums[r], bcasts[r])
+		}
 	}
 }

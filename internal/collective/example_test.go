@@ -4,27 +4,22 @@ import (
 	"fmt"
 
 	"fm/internal/cluster"
-	"fm/internal/collective"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/mpi"
 )
 
-// Four nodes sum their ranks with one Allreduce over FM short messages.
+// Four nodes sum their ranks with one MPI Allreduce over FM.
 func ExampleComm_Allreduce() {
 	const nodes = 4
 	c := cluster.NewFM(nodes, core.DefaultConfig(), cost.Default())
 
 	results := make([]float64, nodes)
 	for rank := 0; rank < nodes; rank++ {
-		rank := rank
 		c.Start(rank, func(ep *core.Endpoint) {
-			comm := collective.New(ep, nodes, 0)
-			sum := comm.Allreduce([]float64{float64(rank)}, collective.Sum)
+			comm := mpi.NewWorld(ep, nodes, 0)
+			sum := comm.Allreduce([]float64{float64(rank)}, mpi.Sum)
 			results[rank] = sum[0]
-			for ep.Outstanding() > 0 {
-				ep.WaitIncoming()
-				ep.Extract()
-			}
 		})
 	}
 	if err := c.Run(); err != nil {

@@ -40,7 +40,7 @@ func (c *Comm) collTag() int {
 // recvColl receives one internal-tagged message from a rank (exact
 // negative tags pass straight through the ordinary matching path).
 func (c *Comm) recvColl(src, tag int) []byte {
-	data, _ := c.Wait(c.Irecv(src, tag))
+	data, _ := c.Wait(c.irecv(src, tag))
 	return data
 }
 

@@ -204,8 +204,17 @@ func (c *Comm) acceptLocal(node, tag int, seq uint32, data []byte) {
 }
 
 // Irecv posts a nonblocking tagged receive. src may be AnySource and
-// tag may be AnyTag; wildcards match application tags only.
+// tag may be AnyTag; wildcards match application tags only. Any other
+// tag must be non-negative, as for Send.
 func (c *Comm) Irecv(src, tag int) *Request {
+	if tag != AnyTag {
+		c.checkUserTag(tag)
+	}
+	return c.irecv(src, tag)
+}
+
+// irecv posts a receive under any tag (collectives use negative tags).
+func (c *Comm) irecv(src, tag int) *Request {
 	if src != AnySource {
 		c.node(src) // validate
 	}

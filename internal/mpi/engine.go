@@ -13,8 +13,7 @@
 //   - Blocking Send/Recv and nonblocking Isend/Irecv with Wait/Waitall;
 //     receives may use AnySource and AnyTag wildcards.
 //   - Collectives (Barrier, Bcast, Reduce, Allreduce, Alltoall) built
-//     on the matching engine itself, not borrowed from package
-//     collective.
+//     on the matching engine itself.
 //
 // Messages of any size are segmented into FM frames and reassembled;
 // because FM's return-to-sender flow control may reorder frames, the

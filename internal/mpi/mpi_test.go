@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fm/internal/cluster"
@@ -80,7 +81,9 @@ func TestWildcards(t *testing.T) {
 	})
 }
 
-// A wildcard receive must not capture internal collective traffic.
+// A wildcard receive must not capture internal collective traffic, and
+// Irecv refuses the negative tags the collectives use internally, so an
+// application cannot take a collective's message either.
 func TestWildcardSkipsInternalTags(t *testing.T) {
 	run(t, 2, func(rank int, c *mpi.Comm) {
 		if rank == 0 {
@@ -88,6 +91,15 @@ func TestWildcardSkipsInternalTags(t *testing.T) {
 			c.Barrier()
 			c.Send(1, 3, []byte("user"))
 		} else {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "tags must be >= 0 (got -3)") {
+						t.Errorf("Irecv(0, -3) panicked with %q, want the tag rule", msg)
+					}
+				}()
+				c.Irecv(0, -3) // the first collective's internal tag
+			}()
 			c.Barrier()
 			data, st := c.Recv(mpi.AnySource, mpi.AnyTag)
 			if st.Tag != 3 || string(data) != "user" {
