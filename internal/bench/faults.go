@@ -48,6 +48,9 @@ func faultTimeline(opt Options) (workload.FaultPlan, []myrinet.FaultWindow, int,
 		n = 8
 	}
 	n = workload.AdjustNodes(workload.Bisection{}, n)
+	if err := checkClos("-fault-nodes", n); err != nil {
+		return workload.FaultPlan{}, nil, n, err
+	}
 	topo := workload.ClosSpec(n).Build(sim.NewKernel(), cost.Default()).Topology()
 
 	var plan workload.FaultPlan

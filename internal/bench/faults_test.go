@@ -124,4 +124,9 @@ func TestValidateFaults(t *testing.T) {
 	if err := ValidateFaults(opt); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Errorf("never-closing window accepted (err %v)", err)
 	}
+	opt = DefaultOptions()
+	opt.FaultNodes = 1e11
+	if err := ValidateFaults(opt); err == nil || !strings.Contains(err.Error(), "packed-route limit") {
+		t.Errorf("unbuildable Clos accepted (err %v)", err)
+	}
 }

@@ -61,8 +61,8 @@ func scalePattern(name string) (pat workload.Pattern, desc string, err error) {
 // ValidateScale checks the scale sweep's configuration before anything
 // runs: the pattern name must be in the catalog, and every node count
 // must derive a Clos geometry the fabric layer can actually build
-// (myrinet.ClosCheck) — so a bad point at the end of -scale-nodes
-// cannot cost the long points before it.
+// (checkClos) — so a bad point at the end of -scale-nodes cannot cost
+// the long points before it.
 func ValidateScale(opt Options) error {
 	if _, _, err := scalePattern(opt.ScalePattern); err != nil {
 		return err
@@ -75,11 +75,23 @@ func ValidateScale(opt Options) error {
 		if n < 2 {
 			return fmt.Errorf("-scale-nodes %d: a sweep point needs at least 2 nodes", n)
 		}
-		spines, leaves, npl, ports := workload.ClosGeometry(n)
-		if err := myrinet.ClosCheck(spines, leaves, npl, ports); err != nil {
-			return fmt.Errorf("-scale-nodes %d: clos(%d spines, %d leaves, %d nodes/leaf, %d ports): %v",
-				n, spines, leaves, npl, ports, err)
+		if err := checkClos("-scale-nodes", n); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// checkClos rejects a node count whose full-bisection Clos
+// (workload.ClosGeometry) the fabric layer cannot build
+// (myrinet.ClosCheck). Every validator runs it on the node count it
+// would build before anything builds a fabric, since myrinet.NewClos
+// panics on such a geometry; flag names the option the count came from.
+func checkClos(flag string, n int) error {
+	spines, leaves, npl, ports := workload.ClosGeometry(n)
+	if err := myrinet.ClosCheck(spines, leaves, npl, ports); err != nil {
+		return fmt.Errorf("%s %d: clos(%d spines, %d leaves, %d nodes/leaf, %d ports): %v",
+			flag, n, spines, leaves, npl, ports, err)
 	}
 	return nil
 }
@@ -170,7 +182,7 @@ func Scale(opt Options) *Report {
 			"sharded run: every simulation split across %d shard kernels (one leaf-group block per shard, lookahead = switch latency); deterministic, but contention may resolve in a different order than one kernel (DESIGN.md)", shards))
 		if opt.ShardTiming {
 			for i, n := range nodes {
-				line := fmt.Sprintf("shard timing N=%d FM all-to-all:", n)
+				line := fmt.Sprintf("shard timing N=%d FM %s:", n, pname)
 				for s, st := range fmShards[i] {
 					line += fmt.Sprintf("  s%d %.2gMev/%dw/%s", s,
 						float64(st.Events)/1e6, st.Windows, st.Busy.Round(time.Millisecond))

@@ -31,6 +31,11 @@ func TestValidateScale(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-scale-nodes 1") {
 		t.Fatalf("node count 1: err = %v", err)
 	}
+
+	bad.ScaleNodes = []int{64, 1 << 62}
+	if err := ValidateScale(bad); err == nil || !strings.Contains(err.Error(), "packed-route limit") {
+		t.Fatalf("node count 2^62: err = %v", err)
+	}
 }
 
 // The default pattern must resolve to the historical all-to-all

@@ -85,4 +85,11 @@ func TestScaleSharded(t *testing.T) {
 		!strings.Contains(timed, "shard timing N=32 FM all-to-all:") {
 		t.Fatalf("ShardTiming report missing per-shard breakdown:\n%s", timed)
 	}
+	// The breakdown names the FM leg's pattern, whichever it is.
+	opt.ScalePattern = "neighbor"
+	timed = render(1)
+	if !strings.Contains(timed, "shard timing N=16 FM neighbor:") ||
+		!strings.Contains(timed, "shard timing N=32 FM neighbor:") {
+		t.Fatalf("neighbor ShardTiming report mislabels the FM leg:\n%s", timed)
+	}
 }

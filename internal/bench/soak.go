@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fm/internal/core"
@@ -57,7 +58,13 @@ func soakBase(name string) (workload.Pattern, error) {
 // soakGap converts one offered-load point (MB/s per node) into the
 // per-rank mean interarrival gap for soakSize-byte messages.
 func soakGap(loadMBps float64) sim.Duration {
-	return sim.Duration(float64(soakSize) / (loadMBps * metrics.MiB) * float64(sim.Second))
+	return sim.Duration(soakGapPs(loadMBps))
+}
+
+// soakGapPs is soakGap before the conversion to integer picoseconds,
+// which ValidateSoak checks is defined.
+func soakGapPs(loadMBps float64) float64 {
+	return float64(soakSize) / (loadMBps * metrics.MiB) * float64(sim.Second)
 }
 
 // soakSource builds the arrival process for one load point.
@@ -115,9 +122,21 @@ func ValidateSoak(opt Options) error {
 		if l <= 0 {
 			return fmt.Errorf("-soak-loads entry %g: offered load must be positive MB/s per node", l)
 		}
+		// NaN, Inf, and loads so small or so large that the gap
+		// overflows or truncates to zero leave no gap to schedule.
+		if ps := soakGapPs(l); !(ps >= 1 && ps < math.MaxInt64) {
+			return fmt.Errorf("-soak-loads entry %g: its interarrival gap (%g ps) is not a positive, finite number of picoseconds",
+				l, ps)
+		}
 	}
 	if opt.SoakHorizonUs <= 0 {
 		return fmt.Errorf("-soak-horizon-us %d: the arrival horizon must be positive", opt.SoakHorizonUs)
+	}
+	// The horizon becomes a sim.Duration in picoseconds; the window,
+	// checked below to be no longer than the horizon, then fits too.
+	if maxUs := int64(math.MaxInt64 / sim.Microsecond); int64(opt.SoakHorizonUs) > maxUs {
+		return fmt.Errorf("-soak-horizon-us %d overflows the simulator's picosecond clock (at most %d)",
+			opt.SoakHorizonUs, maxUs)
 	}
 	if opt.SoakWindowUs <= 0 {
 		return fmt.Errorf("-soak-window-us %d: the series window must be positive", opt.SoakWindowUs)
@@ -126,7 +145,11 @@ func ValidateSoak(opt Options) error {
 		return fmt.Errorf("-soak-window-us %d exceeds -soak-horizon-us %d: a soak needs at least one full window",
 			opt.SoakWindowUs, opt.SoakHorizonUs)
 	}
-	_, err = soakFaults(opt, soakNodes(opt, base))
+	n := soakNodes(opt, base)
+	if err := checkClos("-soak-nodes", n); err != nil {
+		return err
+	}
+	_, err = soakFaults(opt, n)
 	return err
 }
 
@@ -272,7 +295,7 @@ func Soak(opt Options) *Report {
 		"open loop: arrivals follow the source's schedule whether or not the system keeps up; latency is sojourn (scheduled arrival to delivery), source-queue wait included",
 		"the knee is where delivered MB/s stops tracking offered MB/s: past it the backlog at the horizon bell and the sojourn p99 grow without bound",
 		fmt.Sprintf("termination: %s — every arrival is still delivered (the drain column is the post-horizon cleanup time)", sopt.Mode),
-		"deterministic: the timeline is computed on the canonical single-kernel engine, so this report is byte-identical at any -workers and -shards setting",
+		"deterministic: the timeline is computed on the canonical single-kernel engine, so this report is byte-identical at any -workers setting",
 	)
 	if len(ws) > 0 {
 		r.Notes = append(r.Notes, "fault plan overlaid on every load point (-fault-plan): recovery transients show as delivery dips and retransmit bursts in the windows")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -101,6 +102,12 @@ func TestValidateSoak(t *testing.T) {
 		{"bad pattern", func(o *Options) { o.SoakPattern = "zigzag" }, "-soak-pattern"},
 		{"no loads", func(o *Options) { o.SoakLoads = nil }, "-soak-loads"},
 		{"negative load", func(o *Options) { o.SoakLoads = []float64{8, -1} }, "positive"},
+		{"NaN load", func(o *Options) { o.SoakLoads = []float64{8, math.NaN()} }, "finite number of picoseconds"},
+		{"infinite load", func(o *Options) { o.SoakLoads = []float64{math.Inf(1)} }, "finite number of picoseconds"},
+		{"gap overflows", func(o *Options) { o.SoakLoads = []float64{1e-300} }, "finite number of picoseconds"},
+		{"gap truncates to zero", func(o *Options) { o.SoakLoads = []float64{1e300} }, "finite number of picoseconds"},
+		{"horizon overflows", func(o *Options) { o.SoakHorizonUs, o.SoakWindowUs = 1e13, 1e13 }, "overflows"},
+		{"unbuildable clos", func(o *Options) { o.SoakNodes = 1e11 }, "-soak-nodes 100000000000"},
 		{"zero horizon", func(o *Options) { o.SoakHorizonUs = 0 }, "-soak-horizon-us"},
 		{"zero window", func(o *Options) { o.SoakWindowUs = 0 }, "-soak-window-us"},
 		{"window > horizon", func(o *Options) { o.SoakWindowUs = 2000 }, "at least one full window"},

@@ -186,8 +186,8 @@ func NewFMOnFabric(k *sim.Kernel, p *cost.Params, fab *myrinet.Fabric, cfg core.
 }
 
 // NewFMFrom builds an FM cluster on a fresh kernel around the fabric
-// the build function constructs — the generic form behind NewFMLine and
-// NewFMClos, and NewFMShardedFrom at one shard.
+// the build function constructs — the generic form behind NewFMClos,
+// and NewFMShardedFrom at one shard.
 func NewFMFrom(build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, cfg core.Config, p *cost.Params) *FM {
 	c, err := NewFMShardedFrom(build, cfg, p, 1)
 	if err != nil {
@@ -210,14 +210,6 @@ func NewFMShardedFrom(build func(*sim.Kernel, *cost.Params) *myrinet.Fabric, cfg
 		return nil, err
 	}
 	return newFMOn(place(g, part, p, fabs, cfg.Queues(p)), cfg), nil
-}
-
-// NewFMLine builds an FM cluster on a linear multi-switch fabric
-// (myrinet.NewLine geometry).
-func NewFMLine(nSwitches, nodesPerSwitch, ports int, cfg core.Config, p *cost.Params) *FM {
-	return NewFMFrom(func(k *sim.Kernel, p *cost.Params) *myrinet.Fabric {
-		return myrinet.NewLine(k, p, nSwitches, nodesPerSwitch, ports)
-	}, cfg, p)
 }
 
 // NewFMClos builds an FM cluster on a 2-level Clos fabric

@@ -112,7 +112,7 @@ func TestSequentialAppsAllowed(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	k, c := newCPU()
-	s := sim.NewSignal(k, "s")
+	s := sim.NewSignal(k)
 	c.Start(func() {
 		if c.WaitTimeout(s, sim.Us(3)) {
 			t.Error("unexpected signal")

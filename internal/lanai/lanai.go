@@ -156,9 +156,9 @@ func NewAt(d *Device, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, fab *myrinet
 		HostRecvQ:     ring.New[*myrinet.Packet](fmt.Sprintf("host%d.recv", id), cfg.HostRecvSlots),
 		HostOutQ:      ring.New[*myrinet.Packet](fmt.Sprintf("host%d.out", id), cfg.HostOutSlots),
 		rxChan:        ring.New[*myrinet.Packet](fmt.Sprintf("lanai%d.chan", id), cfg.ChannelSlots),
-		Work:          sim.NewSignal(k, fmt.Sprintf("lanai%d.work", id)),
-		SendFreed:     sim.NewSignal(k, fmt.Sprintf("lanai%d.sendfreed", id)),
-		HostRecvAvail: sim.NewSignal(k, fmt.Sprintf("lanai%d.hostrecv", id)),
+		Work:          sim.NewSignal(k),
+		SendFreed:     sim.NewSignal(k),
+		HostRecvAvail: sim.NewSignal(k),
 	}
 	fab.Attach(id, d)
 	return d

@@ -394,11 +394,7 @@ func (f *Fabric) forward(p *Packet, route []hop, i int, eligible sim.Time, wire 
 		}
 		eligible = head.Add(f.p.SwitchLatency)
 	}
-	tail := head.Add(wire)
-	if f.k.Tracing() {
-		f.k.Tracef("net", "inject %v tail@%v", p, tail)
-	}
-	f.k.AtArg(tail, f.deliverFn, p)
+	f.k.AtArg(head.Add(wire), f.deliverFn, p)
 }
 
 // ResumeCross continues a packet whose head reached a shard boundary:

@@ -163,7 +163,7 @@ func (p *Packet) Seal() { p.crc = p.checksum() }
 // Verify reports whether the frame is intact.
 func (p *Packet) Verify() bool { return p.crc == p.checksum() }
 
-// String summarizes the packet for traces.
+// String summarizes the packet for diagnostics.
 func (p *Packet) String() string {
 	return fmt.Sprintf("%s %d->%d seq=%d len=%d", p.Type, p.Src, p.Dst, p.Seq, len(p.Payload))
 }

@@ -49,7 +49,6 @@ type Kernel struct {
 
 	procs     int // live process count
 	nextProc  int
-	trace     *Trace
 	eventsRun uint64
 }
 

@@ -103,7 +103,7 @@ func TestProcInterleaving(t *testing.T) {
 
 func TestSignalPulseWakesAllWaiters(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "s")
+	s := NewSignal(k)
 	woke := 0
 	for i := 0; i < 5; i++ {
 		k.Spawn("w", func(p *Proc) {
@@ -122,7 +122,7 @@ func TestSignalPulseWakesAllWaiters(t *testing.T) {
 
 func TestSignalNoMemory(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "s")
+	s := NewSignal(k)
 	s.Pulse() // no waiters: lost
 	woke := false
 	k.Spawn("w", func(p *Proc) {
@@ -142,7 +142,7 @@ func TestSignalNoMemory(t *testing.T) {
 
 func TestWaitTimeoutSignaledFirst(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "s")
+	s := NewSignal(k)
 	var ok bool
 	var at Time
 	k.Spawn("w", func(p *Proc) {
@@ -163,7 +163,7 @@ func TestWaitTimeoutSignaledFirst(t *testing.T) {
 
 func TestWaitTimeoutThenLaterPulseHarmless(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "s")
+	s := NewSignal(k)
 	wakes := 0
 	k.Spawn("w", func(p *Proc) {
 		if p.WaitTimeout(s, Microsecond) {
@@ -184,7 +184,7 @@ func TestWaitTimeoutThenLaterPulseHarmless(t *testing.T) {
 
 func TestWaitFor(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "s")
+	s := NewSignal(k)
 	counter := 0
 	k.Spawn("w", func(p *Proc) {
 		p.WaitFor(s, func() bool { return counter >= 3 })
@@ -279,7 +279,7 @@ func TestCallbackPanicAttribution(t *testing.T) {
 
 func TestStopUnwindsParkedProcs(t *testing.T) {
 	k := NewKernel()
-	s := NewSignal(k, "never")
+	s := NewSignal(k)
 	cleaned := false
 	k.Spawn("stuck", func(p *Proc) {
 		defer func() { cleaned = true }()
@@ -299,7 +299,7 @@ func TestDeterminism(t *testing.T) {
 	run := func(seed int64) (uint64, Time, int) {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
-		s := NewSignal(k, "s")
+		s := NewSignal(k)
 		r := NewResource(k, "r")
 		total := 0
 		for i := 0; i < 20; i++ {
@@ -645,8 +645,8 @@ func TestLadderBucketReuse(t *testing.T) {
 // see a cross-wired wake.
 func TestSignalWaitReuse(t *testing.T) {
 	k := NewKernel()
-	a := NewSignal(k, "a")
-	b := NewSignal(k, "b")
+	a := NewSignal(k)
+	b := NewSignal(k)
 	var wokeA, wokeB int
 	k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < 10; i++ {

@@ -15,12 +15,10 @@ type Resource struct {
 	free Time
 
 	// busy accumulates granted service time for utilization reporting.
-	busy   Duration
-	grants uint64
+	busy Duration
 }
 
-// NewResource creates a resource attached to k. The name is used in
-// traces and stats.
+// NewResource creates a resource attached to k, labelled name.
 func NewResource(k *Kernel, name string) *Resource {
 	return &Resource{k: k, name: name}
 }
@@ -39,7 +37,6 @@ func (r *Resource) Reserve(d Duration) (start, end Time) {
 	end = start.Add(d)
 	r.free = end
 	r.busy += d
-	r.grants++
 	return start, end
 }
 
@@ -58,15 +55,8 @@ func (r *Resource) ReserveAt(earliest Time, d Duration) (start, end Time) {
 	end = start.Add(d)
 	r.free = end
 	r.busy += d
-	r.grants++
 	return start, end
 }
-
-// FreeAt returns the instant the resource next becomes free.
-func (r *Resource) FreeAt() Time { return r.free }
-
-// Grants returns the number of reservations made.
-func (r *Resource) Grants() uint64 { return r.grants }
 
 // BusyTime returns the total granted service time.
 func (r *Resource) BusyTime() Duration { return r.busy }

@@ -9,9 +9,7 @@ package sim
 // standard condition-variable discipline).
 type Signal struct {
 	k       *Kernel
-	name    string
 	waiters []*waitReg
-	pulses  uint64
 }
 
 // waitReg tracks one blocked waiter. fired prevents a double resume when
@@ -22,19 +20,14 @@ type waitReg struct {
 	timedOut bool
 }
 
-// NewSignal creates a signal attached to k. The name is used in traces.
-func NewSignal(k *Kernel, name string) *Signal {
-	return &Signal{k: k, name: name}
+// NewSignal creates a signal attached to k.
+func NewSignal(k *Kernel) *Signal {
+	return &Signal{k: k}
 }
-
-// Pulses reports how many times the signal has been pulsed (for tests and
-// stats).
-func (s *Signal) Pulses() uint64 { return s.pulses }
 
 // Pulse wakes every process currently waiting on s. Waiters resume at the
 // current virtual time, in the order they began waiting.
 func (s *Signal) Pulse() {
-	s.pulses++
 	if len(s.waiters) == 0 {
 		return
 	}

@@ -22,7 +22,7 @@ type FabricSpec struct {
 // does not exceed sqrt(n), so 64 nodes become 8 groups of 8.
 func Geometry(n int) (groupSize, groups int) {
 	groupSize = 1
-	for v := 2; v*v <= n; v *= 2 {
+	for v := 2; v <= n/v; v *= 2 { // v*v <= n, without overflowing int
 		if n%v == 0 {
 			groupSize = v
 		}
