@@ -51,7 +51,7 @@ func Ablations(opt Options) *Report {
 // bandwidth on the full FM layer.
 func frameSizeStudy(p *cost.Params, opt Options) []KV {
 	sizes := []int{16, 32, 64, 128, 192, 256, 384, 512, 768, 1024}
-	c := hostCurve("FM frame sweep", fmMaker(cfgFullFM(), p), sizes, serial(opt), false, 0)
+	c := hostCurve("FM frame sweep", fmMaker(ConfigFullFM(), p), sizes, serial(opt), false, 0)
 	find := func(frac float64) int {
 		target := c.Fit.RInf * frac
 		for _, pt := range c.BW {
@@ -152,7 +152,7 @@ func flowControlStudy(p *cost.Params, opt Options) []KV {
 	}
 	delay := 12 * sim.Microsecond
 
-	rts := cfgFullFM()
+	rts := ConfigFullFM()
 	rts.DrainLimit = 8
 	rts.HostRecvSlots = 64
 	rts.RejectThreshold = 48
@@ -201,7 +201,7 @@ func hardwareStudy(p *cost.Params, opt Options) []Row {
 	// pool would only oversubscribe the CPUs.
 	return mapN(1, len(variants), func(i int) Row {
 		v := variants[i]
-		c := hostCurve(v.name, fmMaker(cfgFullFM(), v.par), opt.Sizes, serial(opt), false, 0)
+		c := hostCurve(v.name, fmMaker(ConfigFullFM(), v.par), opt.Sizes, serial(opt), false, 0)
 		return Row{
 			Name: "A3 " + v.name, T0us: c.Fit.T0.Microseconds(), RInf: c.Fit.RInf,
 			NHalf: c.Fit.NHalf, Extrap: c.Fit.NHalfExtrapolated,
@@ -220,7 +220,7 @@ func aggregationStudy(p *cost.Params, opt Options) []KV {
 		packets = 2048
 	}
 	run := func(aggregate bool) hotspotResult {
-		cfg := cfgFullFM()
+		cfg := ConfigFullFM()
 		cfg.Aggregate = aggregate
 		return hotspot(cfg, p, senders, packets, size, 0)
 	}
@@ -237,17 +237,10 @@ func aggregationStudy(p *cost.Params, opt Options) []KV {
 // bidirectional (ping-pong) load.
 func piggybackStudy(p *cost.Params, opt Options) []KV {
 	run := func(piggyback bool) (sim.Duration, uint64, uint64) {
-		cfg := cfgFullFM()
+		cfg := ConfigFullFM()
 		cfg.PiggybackAcks = piggyback
 		c := cluster.NewFM(2, cfg.WithFrame(128), p)
-		pair := metrics.Pair{
-			A:      c.EPs[0],
-			B:      c.EPs[1],
-			StartA: func(app func()) { c.CPUs[0].Start(app) },
-			StartB: func(app func()) { c.CPUs[1].Start(app) },
-			Run:    c.Run,
-		}
-		lat, err := metrics.PingPong(pair, 128, opt.Rounds)
+		lat, err := metrics.PingPong(fmPair(c), 128, opt.Rounds)
 		if err != nil {
 			panic(err)
 		}

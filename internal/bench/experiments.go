@@ -9,12 +9,17 @@ import (
 	"fm/internal/myriapi"
 )
 
-// Layer-stack configurations in the order Table 4 lists them.
+// Layer-stack configurations in the order Table 4 lists them, exported
+// for benchmarks and external tooling.
 
-func cfgHybridVestigial() core.Config { return core.VestigialConfig(core.Hybrid) }
-func cfgAllDMAVestigial() core.Config { return core.VestigialConfig(core.AllDMA) }
+// ConfigHybridVestigial is the Fig. 4 "streamed + hybrid" layer.
+func ConfigHybridVestigial() core.Config { return core.VestigialConfig(core.Hybrid) }
 
-func cfgBufMgmt() core.Config {
+// ConfigAllDMAVestigial is the Fig. 4 "streamed + all DMA" layer.
+func ConfigAllDMAVestigial() core.Config { return core.VestigialConfig(core.AllDMA) }
+
+// ConfigBufMgmt is the Fig. 7 "+ buffer management" layer.
+func ConfigBufMgmt() core.Config {
 	c := core.DefaultConfig()
 	c.FlowControl = false
 	c.PiggybackAcks = false
@@ -22,13 +27,15 @@ func cfgBufMgmt() core.Config {
 	return c
 }
 
-func cfgBufSwitch() core.Config {
-	c := cfgBufMgmt()
+// ConfigBufSwitch is the Fig. 7 "+ buffer management + switch()" layer.
+func ConfigBufSwitch() core.Config {
+	c := ConfigBufMgmt()
 	c.Interpret = true
 	return c
 }
 
-func cfgFullFM() core.Config { return core.DefaultConfig() }
+// ConfigFullFM is the complete FM 1.0 layer (Fig. 8/9).
+func ConfigFullFM() core.Config { return core.DefaultConfig() }
 
 func cfgFullSwitch() core.Config {
 	c := core.DefaultConfig()
@@ -62,8 +69,8 @@ func Fig4(opt Options) *Report {
 	p := cost.Default()
 	r := &Report{ID: "fig4", Title: "Minimal host to host performance"}
 	r.Curves = []Curve{
-		hostCurve("Streamed + hybrid", fmMaker(cfgHybridVestigial(), p), opt.Sizes, opt, true, 0),
-		hostCurve("Streamed + all DMA", fmMaker(cfgAllDMAVestigial(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid", fmMaker(ConfigHybridVestigial(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + all DMA", fmMaker(ConfigAllDMAVestigial(), p), opt.Sizes, opt, true, 0),
 		lanaiCurve("Streamed", true, p, opt.Sizes, opt, true),
 	}
 	r.Notes = append(r.Notes,
@@ -78,9 +85,9 @@ func Fig7(opt Options) *Report {
 	p := cost.Default()
 	r := &Report{ID: "fig7", Title: "Host to Host performance with buffer management"}
 	r.Curves = []Curve{
-		hostCurve("Streamed + hybrid", fmMaker(cfgHybridVestigial(), p), opt.Sizes, opt, true, 0),
-		hostCurve("Streamed + hybrid + buff. mgmt.", fmMaker(cfgBufMgmt(), p), opt.Sizes, opt, true, 0),
-		hostCurve("Streamed + hybrid + buff. mgmt. + switch()", fmMaker(cfgBufSwitch(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid", fmMaker(ConfigHybridVestigial(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid + buff. mgmt.", fmMaker(ConfigBufMgmt(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid + buff. mgmt. + switch()", fmMaker(ConfigBufSwitch(), p), opt.Sizes, opt, true, 0),
 	}
 	r.Notes = append(r.Notes,
 		"paper fits: +buf t0=3.8us r_inf=21.9 n1/2=53B; +buf+switch t0=6.8us r_inf=21.8 n1/2=127B",
@@ -94,8 +101,8 @@ func Fig8(opt Options) *Report {
 	p := cost.Default()
 	r := &Report{ID: "fig8", Title: "Fast Messages messaging layer performance"}
 	r.Curves = []Curve{
-		hostCurve("Streamed + hybrid + buff. mgmt.", fmMaker(cfgBufMgmt(), p), opt.Sizes, opt, true, 0),
-		hostCurve("Streamed + hybrid + buff. mgmt. + flow ctrl.", fmMaker(cfgFullFM(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid + buff. mgmt.", fmMaker(ConfigBufMgmt(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Streamed + hybrid + buff. mgmt. + flow ctrl.", fmMaker(ConfigFullFM(), p), opt.Sizes, opt, true, 0),
 	}
 	r.Notes = append(r.Notes,
 		"paper fits: full FM t0=4.1us r_inf=21.4 n1/2=54B — 'a negligible difference'")
@@ -108,7 +115,7 @@ func Fig9(opt Options) *Report {
 	p := cost.Default()
 	r := &Report{ID: "fig9", Title: "Fast Messages vs. Myricom's API"}
 	r.Curves = []Curve{
-		hostCurve("Fast Messages", fmMaker(cfgFullFM(), p), opt.Sizes, opt, true, 0),
+		hostCurve("Fast Messages", fmMaker(ConfigFullFM(), p), opt.Sizes, opt, true, 0),
 		hostCurve("Myrinet API (myri_cmd_send_imm())", apiMaker(myriapi.SendImm, p), opt.APISizes, opt, true, sbusWriteRef),
 		hostCurve("Myrinet API (myri_cmd_send())", apiMaker(myriapi.SendDMA, p), opt.APISizes, opt, true, sbusWriteRef),
 	}
@@ -150,22 +157,22 @@ func Table4(opt Options) *Report {
 			return lanaiCurve("streamed", true, p, opt.Sizes, serial(opt), false)
 		}},
 		{"Streamed + hybrid", func() Curve {
-			return hostCurve("hybrid", fmMaker(cfgHybridVestigial(), p), opt.Sizes, serial(opt), false, 0)
+			return hostCurve("hybrid", fmMaker(ConfigHybridVestigial(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Streamed + hybrid + buf", func() Curve {
-			return hostCurve("buf", fmMaker(cfgBufMgmt(), p), opt.Sizes, serial(opt), false, 0)
+			return hostCurve("buf", fmMaker(ConfigBufMgmt(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Streamed + hybrid + buf + flow", func() Curve {
-			return hostCurve("flow", fmMaker(cfgFullFM(), p), opt.Sizes, serial(opt), false, 0)
+			return hostCurve("flow", fmMaker(ConfigFullFM(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Streamed + hybrid + buf + switch", func() Curve {
-			return hostCurve("switch", fmMaker(cfgBufSwitch(), p), opt.Sizes, serial(opt), false, 0)
+			return hostCurve("switch", fmMaker(ConfigBufSwitch(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Streamed + hybrid + buf + switch + flow", func() Curve {
 			return hostCurve("switchflow", fmMaker(cfgFullSwitch(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Streamed + all DMA", func() Curve {
-			return hostCurve("alldma", fmMaker(cfgAllDMAVestigial(), p), opt.Sizes, serial(opt), false, 0)
+			return hostCurve("alldma", fmMaker(ConfigAllDMAVestigial(), p), opt.Sizes, serial(opt), false, 0)
 		}},
 		{"Myrinet API (myri_cmd_send_imm())", func() Curve {
 			return hostCurve("apiimm", apiMaker(myriapi.SendImm, p), opt.APISizes, serial(opt), false, sbusWriteRef)
@@ -209,21 +216,21 @@ func Headline(opt Options) *Report {
 	var bwCurve Curve
 	jobs := []func(){
 		func() {
-			lat, err := metrics.PingPong(fmMaker(cfgFullFM(), p)(16), 16, opt.Rounds)
+			lat, err := metrics.PingPong(fmMaker(ConfigFullFM(), p)(16), 16, opt.Rounds)
 			if err != nil {
 				panic(err)
 			}
 			lat16 = lat.Microseconds()
 		},
 		func() {
-			lat, err := metrics.PingPong(fmMaker(cfgFullFM(), p)(128), 128, opt.Rounds)
+			lat, err := metrics.PingPong(fmMaker(ConfigFullFM(), p)(128), 128, opt.Rounds)
 			if err != nil {
 				panic(err)
 			}
 			lat128 = lat.Microseconds()
 		},
 		func() {
-			bwCurve = hostCurve("FM", fmMaker(cfgFullFM(), p), opt.Sizes, serial(opt), false, 0)
+			bwCurve = hostCurve("FM", fmMaker(ConfigFullFM(), p), opt.Sizes, serial(opt), false, 0)
 		},
 	}
 	runParallel(opt.Workers, jobs)

@@ -6,6 +6,7 @@ import (
 	"fm/internal/core"
 	"fm/internal/cost"
 	"fm/internal/metrics"
+	"fm/internal/myrinet"
 	"fm/internal/sim"
 	"fm/internal/workload"
 )
@@ -22,19 +23,41 @@ import (
 // internal/workload; this file only selects patterns and formats the
 // paper-style comparison.
 
+// fabricNodes is the node count the fabrics experiment builds for
+// opt.FabricNodes: at least 4, and even, since the bisection pattern
+// pairs ranks across the midline.
+func fabricNodes(opt Options) int {
+	return workload.AdjustNodes(workload.Bisection{}, max(opt.FabricNodes, 4))
+}
+
+// validateFabrics is the fabrics experiment's Check (checkSpecs).
+func validateFabrics(opt Options) error {
+	return checkSpecs(opt, "fabrics", "-fabric-nodes", fabricNodes(opt))
+}
+
+// checkSpecs is the check of an experiment that compares the three
+// standard topologies (workload.Specs) at n nodes, the count it builds
+// for flag: it rejects an n at which the crossbar or the Clos cannot be
+// built, and -shards > 1. The line needs no check of its own: it has
+// one switch per Clos leaf, with that leaf's node ports plus two trunks.
+func checkSpecs(opt Options, id, flag string, n int) error {
+	if err := myrinet.CrossbarCheck(n, n); err != nil {
+		return fmt.Errorf("%s %d: crossbar: %v", flag, n, err)
+	}
+	if err := checkClos(flag, n); err != nil {
+		return err
+	}
+	return checkShards(opt, id, 1,
+		"compares crossbar, line and Clos fabrics; a crossbar is a single leaf group and a line links leaves directly, so neither partitions")
+}
+
 // Fabrics regenerates the fabric-scaling comparison at opt.FabricNodes
 // nodes (default 64): aggregate all-to-all bandwidth and bisection
 // bandwidth for crossbar vs. line vs. Clos, plus the FM-layer all-to-all
 // on the Clos.
 func Fabrics(opt Options) *Report {
 	p := cost.Default()
-	n := opt.FabricNodes
-	if n < 4 {
-		n = 4
-	}
-	// The bisection pattern pairs ranks across the midline, so it bumps
-	// odd node counts up to even ones.
-	n = workload.AdjustNodes(workload.Bisection{}, n)
+	n := fabricNodes(opt)
 	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	r := &Report{ID: "fabrics", Title: fmt.Sprintf("Fabric scaling at %d nodes", n)}
 

@@ -35,22 +35,18 @@ import (
 // accepts.
 const faultHorizonUs = 400
 
-// faultTimeline resolves the experiment's fault plan from the options:
-// a hand-written -fault-plan if given, the empty plan for -fault-seed 0
-// (the clean baseline), and the seeded random plan otherwise. Also
-// returns the (adjusted) node count and the compiled fabric timeline.
-func faultTimeline(opt Options) (workload.FaultPlan, []myrinet.FaultWindow, int, error) {
-	n := opt.FaultNodes
-	if n == 0 {
-		n = DefaultOptions().FaultNodes
-	}
-	if n < 8 {
-		n = 8
-	}
-	n = workload.AdjustNodes(workload.Bisection{}, n)
-	if err := checkClos("-fault-nodes", n); err != nil {
-		return workload.FaultPlan{}, nil, n, err
-	}
+// faultNodes is the node count the faults experiment builds for
+// opt.FaultNodes: at least 8, rounded up to even for the bisection
+// pairing.
+func faultNodes(opt Options) int {
+	return workload.AdjustNodes(workload.Bisection{}, max(opt.FaultNodes, 8))
+}
+
+// faultTimeline resolves the experiment's fault plan on clos-n, the
+// fabric faultNodes sizes: a hand-written -fault-plan if given, the
+// empty plan for -fault-seed 0 (the clean baseline), and the seeded
+// random plan otherwise. Also returns the compiled fabric timeline.
+func faultTimeline(opt Options, n int) (workload.FaultPlan, []myrinet.FaultWindow, error) {
 	topo := workload.ClosSpec(n).Build(sim.NewKernel(), cost.Default()).Topology()
 
 	var plan workload.FaultPlan
@@ -58,20 +54,30 @@ func faultTimeline(opt Options) (workload.FaultPlan, []myrinet.FaultWindow, int,
 	case opt.FaultPlan != "":
 		var err error
 		if plan, err = workload.ParseFaultPlan(opt.FaultPlan); err != nil {
-			return plan, nil, n, err
+			return plan, nil, err
 		}
 	case opt.FaultSeed != 0:
 		plan = workload.RandomFaultPlan(opt.FaultSeed, topo, 5, faultHorizonUs)
 	}
 	ws, err := plan.Windows(topo, faultHorizonUs)
-	return plan, ws, n, err
+	return plan, ws, err
 }
 
-// ValidateFaults checks the options' fault plan against the fabric it
-// would run on, so fmbench can reject a bad -fault-plan before any
-// experiment runs.
+// ValidateFaults checks, before any experiment runs, that the Clos the
+// options size can be built (checkClos), that -shards is within its
+// leaf groups, and that the fault plan fits it. Only the plan needs the
+// fabric built, so it is checked last.
 func ValidateFaults(opt Options) error {
-	_, _, _, err := faultTimeline(opt)
+	n := faultNodes(opt)
+	if err := checkClos("-fault-nodes", n); err != nil {
+		return err
+	}
+	_, groups := workload.Geometry(n)
+	if err := checkShards(opt, "faults", groups, fmt.Sprintf(
+		"the faults experiment runs one 2-level Clos, and clos-%d has %d leaf groups", n, groups)); err != nil {
+		return err
+	}
+	_, _, err := faultTimeline(opt, n)
 	return err
 }
 
@@ -81,16 +87,13 @@ func ValidateFaults(opt Options) error {
 func Faults(opt Options) *Report {
 	p := cost.Default()
 	cfg := core.DefaultConfig()
-	plan, ws, n, err := faultTimeline(opt)
+	n := faultNodes(opt)
+	plan, ws, err := faultTimeline(opt, n)
 	if err != nil {
 		panic(fmt.Sprintf("bench: faults: %v", err))
 	}
 	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	spec := workload.ClosSpec(n)
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	r := &Report{ID: "faults", Title: fmt.Sprintf("Resilience under injected faults on clos-%d", n)}
 
 	// Three independent deterministic runs: the all-to-all under the
@@ -99,13 +102,13 @@ func Faults(opt Options) *Report {
 	var a2a, bis, degBis workload.FaultResult
 	runParallel(opt.Workers, []func(){
 		func() {
-			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, size, ws, shards)
+			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, size, ws, opt.Shards)
 		},
 		func() {
-			bis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, nil, shards)
+			bis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, nil, opt.Shards)
 		},
 		func() {
-			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, ws, shards)
+			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, ws, opt.Shards)
 		},
 	})
 

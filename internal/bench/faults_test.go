@@ -129,4 +129,13 @@ func TestValidateFaults(t *testing.T) {
 	if err := ValidateFaults(opt); err == nil || !strings.Contains(err.Error(), "packed-route limit") {
 		t.Errorf("unbuildable Clos accepted (err %v)", err)
 	}
+	// Twice a prime derives one leaf per two nodes and as many spines:
+	// 2042 nodes build 2.09 M switch ports, and 65521 (built as 65522)
+	// 2.1 billion. The bound rejects both before the fabric is built.
+	for _, n := range []int{2042, 65521} {
+		opt.FaultNodes = n
+		if err := ValidateFaults(opt); err == nil || !strings.Contains(err.Error(), "switch ports, over the") {
+			t.Errorf("-fault-nodes %d: err %v, want the switch-port bound", n, err)
+		}
+	}
 }

@@ -62,14 +62,7 @@ func mpiClos(p *cost.Params) mpiPairMaker {
 // like-for-like Clos comparison.
 func fmClosPairMaker(cfg core.Config, p *cost.Params) pairMaker {
 	return func(size int) metrics.Pair {
-		c := cluster.NewFMClos(2, 2, 1, 4, cfg.WithFrame(size), p)
-		return metrics.Pair{
-			A:      c.EPs[0],
-			B:      c.EPs[1],
-			StartA: func(app func()) { c.CPUs[0].Start(app) },
-			StartB: func(app func()) { c.CPUs[1].Start(app) },
-			Run:    c.Run,
-		}
+		return fmPair(cluster.NewFMClos(2, 2, 1, 4, cfg.WithFrame(size), p))
 	}
 }
 
@@ -152,13 +145,13 @@ func MPILayering(opt Options) *Report {
 	curves := make([]Curve, 5)
 	jobs := []func(){
 		func() {
-			curves[0] = hostCurve("Raw FM (crossbar)", fmMaker(cfgFullFM(), p), opt.Sizes, serial(opt), true, 0)
+			curves[0] = hostCurve("Raw FM (crossbar)", fmMaker(ConfigFullFM(), p), opt.Sizes, serial(opt), true, 0)
 		},
 		func() {
 			curves[1] = mpiCurve("MPI on FM (crossbar)", mpiCrossbar(p, 0), opt.Sizes, serial(opt), true)
 		},
 		func() {
-			curves[2] = hostCurve("Raw FM (Clos, cross-leaf)", fmClosPairMaker(cfgFullFM(), p), opt.Sizes, serial(opt), true, 0)
+			curves[2] = hostCurve("Raw FM (Clos, cross-leaf)", fmClosPairMaker(ConfigFullFM(), p), opt.Sizes, serial(opt), true, 0)
 		},
 		func() {
 			curves[3] = mpiCurve("MPI on FM (Clos, cross-leaf)", mpiClos(p), opt.Sizes, serial(opt), true)

@@ -39,23 +39,31 @@ func patternCatalog() []workload.Pattern {
 	}
 }
 
+// patternNodes is the node count the patterns experiment builds for
+// opt.PatternNodes: at least 4, with every pattern's node adjustment
+// applied, since every pattern runs at the same rank count (bisection
+// rounds odd counts up to even).
+func patternNodes(opt Options) int {
+	n := max(opt.PatternNodes, 4)
+	for _, pat := range patternCatalog() {
+		n = workload.AdjustNodes(pat, n)
+	}
+	return n
+}
+
+// validatePatterns is the patterns experiment's Check (checkSpecs).
+func validatePatterns(opt Options) error {
+	return checkSpecs(opt, "patterns", "-pattern-nodes", patternNodes(opt))
+}
+
 // Patterns regenerates the workload sweep at opt.PatternNodes nodes
 // (default 32): for every pattern x fabric cell, raw-fabric aggregate
 // bandwidth, p99 delivery latency, and mean hops, plus completion time
 // and delivered bandwidth through the FM stack and through MPI-on-FM.
 func Patterns(opt Options) *Report {
 	p := cost.Default()
-	n := opt.PatternNodes
-	if n < 4 {
-		n = 4
-	}
+	n := patternNodes(opt)
 	pats := patternCatalog()
-	// Every pattern runs at the same rank count, so apply every
-	// pattern's node adjustment up front (bisection rounds odd counts
-	// up to even).
-	for _, pat := range pats {
-		n = workload.AdjustNodes(pat, n)
-	}
 	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	specs := workload.Specs(n)
 	r := &Report{ID: "patterns", Title: fmt.Sprintf("Workload patterns at %d nodes", n)}

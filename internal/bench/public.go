@@ -78,28 +78,11 @@ func MPIPingPong(p *cost.Params, size, rounds int) metrics.LatPoint {
 // message goes undelivered — the benchmark doubles as a delivery smoke.
 func FaultDrive() workload.FaultResult {
 	opt := DefaultOptions()
-	_, ws, n, err := faultTimeline(opt)
+	n := faultNodes(opt)
+	_, ws, err := faultTimeline(opt, n)
 	if err != nil {
 		panic(err)
 	}
 	return workload.DriveFMFaultsSharded(workload.ClosSpec(n), core.DefaultConfig(), cost.Default(),
 		workload.AllToAll{Rounds: 1}, 112, ws, 1)
 }
-
-// Exported layer-stack configurations (the Table 4 rows), for benchmarks
-// and external tooling.
-
-// ConfigHybridVestigial is the Fig. 4 "streamed + hybrid" layer.
-func ConfigHybridVestigial() core.Config { return cfgHybridVestigial() }
-
-// ConfigAllDMAVestigial is the Fig. 4 "streamed + all DMA" layer.
-func ConfigAllDMAVestigial() core.Config { return cfgAllDMAVestigial() }
-
-// ConfigBufMgmt is the Fig. 7 "+ buffer management" layer.
-func ConfigBufMgmt() core.Config { return cfgBufMgmt() }
-
-// ConfigBufSwitch is the Fig. 7 "+ buffer management + switch()" layer.
-func ConfigBufSwitch() core.Config { return cfgBufSwitch() }
-
-// ConfigFullFM is the complete FM 1.0 layer (Fig. 8/9).
-func ConfigFullFM() core.Config { return cfgFullFM() }

@@ -30,9 +30,9 @@ type Options struct {
 	// APISizes extends the sweep for the Myrinet API, whose n1/2 lies in
 	// the thousands of bytes.
 	APISizes []int
-	// Packets per bandwidth stream. The paper uses 65,535; the default
-	// is smaller (converged) for quicker runs — use PaperExact for the
-	// full count.
+	// Packets per bandwidth stream. The paper uses 65,535
+	// (metrics.PaperStreamPackets); the default is smaller (converged)
+	// for quicker runs.
 	Packets int
 	// Rounds per ping-pong latency measurement (paper: 50).
 	Rounds int
@@ -57,9 +57,9 @@ type Options struct {
 	// this many shard kernels (conservative parallel DES; DESIGN.md
 	// "Parallel engine"). 1, the default, is one shard: the single
 	// kernel, byte-identical to runs predating the sharded engine. Only
-	// those experiments' 2-level Clos fabrics partition; fmbench
-	// validates the value against every selected experiment (see
-	// ShardSupport) before anything runs.
+	// those experiments' 2-level Clos fabrics partition; each
+	// experiment's Check bounds the value (shards.go) before anything
+	// runs.
 	Shards int
 	// ShardTiming appends a per-shard runtime breakdown (events run,
 	// busy wall time, barrier windows) to sharded reports. fmbench ties
@@ -128,13 +128,6 @@ func DefaultOptions() Options {
 		SoakWindowUs:  150,
 		SoakSeed:      1995,
 	}
-}
-
-// PaperExact returns the paper's measurement lengths (65,535 packets).
-func PaperExact() Options {
-	o := DefaultOptions()
-	o.Packets = metrics.PaperStreamPackets
-	return o
 }
 
 // Curve is one plotted series: a layer configuration swept over sizes.
@@ -211,39 +204,63 @@ type Report struct {
 
 // Experiment binds an ID to its regeneration function. Desc is the
 // one-line what-it-measures description `fmbench -list` prints under
-// the title.
+// the title. Flags names the fmbench flags, beyond those every
+// experiment shares, whose Options fields Run reads; fmbench rejects
+// any other such flag. Check, when set, validates those fields and
+// Shards; fmbench runs it through Validate before anything runs.
 type Experiment struct {
 	ID    string
 	Title string
 	Desc  string
 	Run   func(Options) *Report
+	Flags []string
+	Check func(Options) error
 }
+
+// Validate runs the experiment's Check. An experiment without one reads
+// no field it could reject and runs every simulation on one kernel, so
+// it rejects only -shards > 1.
+func (e Experiment) Validate(opt Options) error {
+	if e.Check == nil {
+		return checkShards(opt, e.ID, 1, "it runs every simulation on one kernel")
+	}
+	return e.Check(opt)
+}
+
+// sweepFlags are the flags a size sweep reads: the two probes of the
+// paper's Section 4.1, a ping-pong of -rounds and a stream of -packets
+// (-paper-exact: the paper's 65,535).
+var sweepFlags = []string{"packets", "rounds", "paper-exact"}
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
 		{"fig3", "Figure 3: LANai-to-LANai performance (baseline vs. streamed vs. theoretical peak)",
-			"latency/BW size sweep on the bare LANai path, three firmware variants against the 80 MB/s link peak", Fig3},
+			"latency/BW size sweep on the bare LANai path, three firmware variants against the 80 MB/s link peak", Fig3, sweepFlags, nil},
 		{"fig4", "Figure 4: Minimal host-to-host performance (hybrid vs. all-DMA SBus management)",
-			"host-to-host size sweep isolating the SBus transfer policy: programmed-I/O hybrid vs. all-DMA", Fig4},
+			"host-to-host size sweep isolating the SBus transfer policy: programmed-I/O hybrid vs. all-DMA", Fig4, sweepFlags, nil},
 		{"fig7", "Figure 7: Host-to-host performance with buffer management (and switch() interpretation)",
-			"adds receive-buffer management to fig4's path; reproduces both readings of the paper's switch() cost", Fig7},
+			"adds receive-buffer management to fig4's path; reproduces both readings of the paper's switch() cost", Fig7, sweepFlags, nil},
 		{"fig8", "Figure 8: Fast Messages layer performance with flow control",
-			"the complete FM 1.0 API: handler dispatch plus window flow control, latency and BW vs. size", Fig8},
+			"the complete FM 1.0 API: handler dispatch plus window flow control, latency and BW vs. size", Fig8, sweepFlags, nil},
 		{"fig9", "Figure 9: Fast Messages vs. Myricom's API",
-			"FM against the vendor API it replaced, including the API's thousands-of-bytes n1/2 sweep", Fig9},
+			"FM against the vendor API it replaced, including the API's thousands-of-bytes n1/2 sweep", Fig9, sweepFlags, nil},
+		// Table 4's fits come from the bandwidth streams alone.
 		{"table4", "Table 4: Summary of FM 1.0 performance data",
-			"fits t0, r_inf, and n1/2 for every layer configuration next to the paper's published values", Table4},
+			"fits t0, r_inf, and n1/2 for every layer configuration next to the paper's published values", Table4,
+			[]string{"packets", "paper-exact"}, nil},
 		{"headline", "Headline numbers (Sections 1 and 5)",
-			"the abstract's claims as one table: short-message latency, peak BW, n1/2 vs. the paper", Headline},
+			"the abstract's claims as one table: short-message latency, peak BW, n1/2 vs. the paper", Headline, sweepFlags, nil},
 		{"ablations", "Ablations: frame size, flow control, DMA aggregation, ack piggybacking, hardware what-ifs",
-			"design-choice sweeps the Discussion calls for, each knob toggled on the full stack", Ablations},
+			"design-choice sweeps the Discussion calls for, each knob toggled on the full stack", Ablations, sweepFlags, nil},
 		{"fabrics", "Fabric scaling: all-to-all and bisection traffic on crossbar vs. line vs. Clos",
-			"64-node all-to-all and bisection totals across three topologies at raw and FM stack levels (-fabric-nodes)", Fabrics},
+			"64-node all-to-all and bisection totals across three topologies at raw and FM stack levels", Fabrics,
+			[]string{"fabric-nodes"}, validateFabrics},
 		{"mpi", "MPI on FM: the cost of layering (tagged matching vs. raw FM, crossbar and Clos)",
-			"MPI-on-FM size sweep vs. raw FM with t0/r_inf/n1/2 fits, on a crossbar and a cross-leaf Clos path", MPILayering},
+			"MPI-on-FM size sweep vs. raw FM with t0/r_inf/n1/2 fits, on a crossbar and a cross-leaf Clos path", MPILayering, sweepFlags, nil},
 		{"patterns", "Workload patterns: the traffic catalog x crossbar/line/Clos x raw/FM/MPI stack levels",
-			"every traffic pattern on every fabric at every stack depth, one completion/BW/latency matrix (-pattern-nodes)", Patterns},
+			"every traffic pattern on every fabric at every stack depth, one completion/BW/latency matrix", Patterns,
+			[]string{"pattern-nodes"}, validatePatterns},
 	}
 }
 
@@ -252,12 +269,15 @@ func All() []Experiment {
 // dwarfs the paper reproductions. Run them by id.
 func Extended() []Experiment {
 	return []Experiment{
-		{"scale", "Clos scaling sweep: 64 to 4096 nodes, raw fabric and full FM stack (~30 min; trim with -scale-nodes)",
-			"full-bisection Clos sweep driving all-to-all and bisection traffic at raw and FM levels; shards with -shards", Scale},
-		{"faults", "Resilience: seeded fault injection (outages, loss, corruption) on a Clos — degraded bisection BW, retransmits, recovery (-fault-seed/-fault-plan/-fault-nodes)",
-			"injects a deterministic fault plan mid-traffic and reports delivery proof, degraded BW, and recovery time; shards with -shards", Faults},
-		{"soak", "Soak: open-loop offered-load sweep with windowed time series on a Clos (-soak-*)",
-			"streams Poisson or fixed-rate arrivals through the FM stack across an offered-load ladder; windowed p50/p99/p999 and backlog expose the saturation knee (-soak-source/-soak-pattern/-soak-nodes/-soak-loads/-soak-horizon-us/-soak-window-us/-soak-seed/-soak-drain; -fault-plan overlays recovery transients)", Soak},
+		{"scale", "Clos scaling sweep: 64 to 4096 nodes, raw fabric and full FM stack (~30 min at the default node list)",
+			"full-bisection Clos sweep driving all-to-all and bisection traffic at raw and FM levels; shards with -shards", Scale,
+			[]string{"scale-nodes", "scale-pattern"}, ValidateScale},
+		{"faults", "Resilience: seeded fault injection (outages, loss, corruption) on a Clos — degraded bisection BW, retransmits, recovery",
+			"injects a deterministic fault plan mid-traffic and reports delivery proof, degraded BW, and recovery time; shards with -shards", Faults,
+			[]string{"fault-seed", "fault-plan", "fault-nodes"}, ValidateFaults},
+		{"soak", "Soak: open-loop offered-load sweep with windowed time series on a Clos",
+			"streams Poisson or fixed-rate arrivals through the FM stack across an offered-load ladder; windowed p50/p99/p999 and backlog expose the saturation knee, and an explicit fault plan overlays recovery transients", Soak,
+			[]string{"soak-source", "soak-pattern", "soak-nodes", "soak-loads", "soak-horizon-us", "soak-window-us", "soak-seed", "soak-drain", "fault-plan"}, ValidateSoak},
 	}
 }
 

@@ -42,15 +42,15 @@ func scaleSpec(n int) workload.FabricSpec {
 }
 
 // scalePattern resolves the sweep's main traffic pattern. The catalog
-// is deliberately small: all-to-all is the historical default (its
-// labels and volume are byte-identical to builds predating the knob),
+// is deliberately small: all-to-all is the default (its labels and
+// volume are byte-identical to builds predating the knob),
 // and neighbor is the light structured pattern that makes very large
 // points — 16k nodes and past — tractable, since its message count
 // grows linearly in N instead of quadratically. The returned desc
 // phrase slots into the report notes ("<desc> ... per node").
 func scalePattern(name string) (pat workload.Pattern, desc string, err error) {
 	switch name {
-	case "", "all-to-all":
+	case "all-to-all":
 		return workload.AllToAll{Rounds: 1}, "one all-to-all round", nil
 	case "neighbor":
 		return workload.Neighbor{Rounds: 16, Wrap: true}, "16 wrapped neighbor rounds", nil
@@ -59,37 +59,59 @@ func scalePattern(name string) (pat workload.Pattern, desc string, err error) {
 }
 
 // ValidateScale checks the scale sweep's configuration before anything
-// runs: the pattern name must be in the catalog, and every node count
-// must derive a Clos geometry the fabric layer can actually build
+// runs: the pattern name must be in the catalog, every node count must
+// derive a Clos geometry the fabric layer can actually build
 // (checkClos) — so a bad point at the end of -scale-nodes cannot cost
-// the long points before it.
+// the long points before it — and -shards must not exceed the leaf
+// groups of the smallest point.
 func ValidateScale(opt Options) error {
 	if _, _, err := scalePattern(opt.ScalePattern); err != nil {
 		return err
 	}
-	nodes := opt.ScaleNodes
-	if len(nodes) == 0 {
-		nodes = DefaultOptions().ScaleNodes
+	if len(opt.ScaleNodes) == 0 {
+		return fmt.Errorf("-scale-nodes is empty: need at least one sweep point")
 	}
-	for _, n := range nodes {
+	bound, minN := 0, 0
+	for _, n := range opt.ScaleNodes {
 		if n < 2 {
 			return fmt.Errorf("-scale-nodes %d: a sweep point needs at least 2 nodes", n)
 		}
 		if err := checkClos("-scale-nodes", n); err != nil {
 			return err
 		}
+		if _, groups := workload.Geometry(n); bound == 0 || groups < bound {
+			bound, minN = groups, n
+		}
 	}
-	return nil
+	return checkShards(opt, "scale", bound, fmt.Sprintf(
+		"2-level Clos sweep shards one leaf group per shard, and the smallest point (clos-%d) has %d leaf groups", minN, bound))
 }
+
+// maxClosPorts bounds the switch ports, (spines + leaves) x ports, of
+// the Clos a node count derives. A count with no square-ish factoring
+// (a prime, or twice one) derives as many leaves as nodes, or half as
+// many, as many spines, and a port per leaf on every switch, so its
+// port total grows as N^2 — and the faults and soak validators build
+// the fabric they check. 2^20 admits every power-of-two count up to
+// 262,144 nodes (1,024 switches of 1,024 ports).
+const maxClosPorts = 1 << 20
 
 // checkClos rejects a node count whose full-bisection Clos
 // (workload.ClosGeometry) the fabric layer cannot build
-// (myrinet.ClosCheck). Every validator runs it on the node count it
-// would build before anything builds a fabric, since myrinet.NewClos
-// panics on such a geometry; flag names the option the count came from.
+// (myrinet.ClosCheck) or whose switch-port total exceeds maxClosPorts.
+// Every validator runs it on the node count it would build before
+// anything builds a fabric, since myrinet.NewClos panics on such a
+// geometry; flag names the option the count came from.
 func checkClos(flag string, n int) error {
 	spines, leaves, npl, ports := workload.ClosGeometry(n)
-	if err := myrinet.ClosCheck(spines, leaves, npl, ports); err != nil {
+	err := myrinet.ClosCheck(spines, leaves, npl, ports)
+	if err == nil && (spines+leaves)*ports > maxClosPorts {
+		// ClosCheck passed, so ports and leaves are within the
+		// packed-route limit and the product cannot overflow.
+		err = fmt.Errorf("%d switches x %d ports = %d switch ports, over the %d limit",
+			spines+leaves, ports, (spines+leaves)*ports, maxClosPorts)
+	}
+	if err != nil {
 		return fmt.Errorf("%s %d: clos(%d spines, %d leaves, %d nodes/leaf, %d ports): %v",
 			flag, n, spines, leaves, npl, ports, err)
 	}
@@ -97,7 +119,7 @@ func checkClos(flag string, n int) error {
 }
 
 // Scale regenerates the scaling sweep over opt.ScaleNodes (default
-// 64..1024). Every measurement is an isolated simulation, so the sweep
+// 64..4096). Every measurement is an isolated simulation, so the sweep
 // points fan out over the worker pool like any other experiment.
 func Scale(opt Options) *Report {
 	p := cost.Default()
@@ -105,14 +127,7 @@ func Scale(opt Options) *Report {
 	if err != nil {
 		panic(fmt.Sprintf("bench: scale: %v", err))
 	}
-	pname := opt.ScalePattern
-	if pname == "" {
-		pname = "all-to-all"
-	}
-	nodes := opt.ScaleNodes
-	if len(nodes) == 0 {
-		nodes = DefaultOptions().ScaleNodes
-	}
+	pname, nodes := opt.ScalePattern, opt.ScaleNodes
 	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	r := &Report{ID: "scale", Title: fmt.Sprintf("Clos scaling, %d to %d nodes", nodes[0], nodes[len(nodes)-1])}
 
@@ -123,10 +138,6 @@ func Scale(opt Options) *Report {
 		bw      float64
 		elapsed sim.Duration
 	}
-	shards := opt.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	a2a := make([]rawRes, len(nodes))
 	bis := make([]rawRes, len(nodes))
 	fm := make([]fmRes, len(nodes))
@@ -136,15 +147,15 @@ func Scale(opt Options) *Report {
 		i, n := i, n
 		jobs = append(jobs,
 			func() {
-				res := workload.DriveRawSharded(scaleSpec(n), p, pat, size, shards)
+				res := workload.DriveRawSharded(scaleSpec(n), p, pat, size, opt.Shards)
 				a2a[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), hops: res.MeanHops}
 			},
 			func() {
-				res := workload.DriveRawSharded(scaleSpec(n), p, workload.Bisection{Packets: 32}, size, shards)
+				res := workload.DriveRawSharded(scaleSpec(n), p, workload.Bisection{Packets: 32}, size, opt.Shards)
 				bis[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed)}
 			},
 			func() {
-				res := workload.DriveFMSharded(scaleSpec(n), core.DefaultConfig(), p, pat, size, shards)
+				res := workload.DriveFMSharded(scaleSpec(n), core.DefaultConfig(), p, pat, size, opt.Shards)
 				fm[i] = fmRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), elapsed: res.Elapsed}
 				fmShards[i] = res.Shards
 			},
@@ -177,9 +188,9 @@ func Scale(opt Options) *Report {
 		fmt.Sprintf("raw points: %s and 32 bisection packets per node, no host stack", desc),
 		fmt.Sprintf("FM points: %s (%s) through the complete FM 1.0 layer on every node", desc, fmVolume),
 	)
-	if shards > 1 {
+	if opt.Shards > 1 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
-			"sharded run: every simulation split across %d shard kernels (one leaf-group block per shard, lookahead = switch latency); deterministic, but contention may resolve in a different order than one kernel (DESIGN.md)", shards))
+			"sharded run: every simulation split across %d shard kernels (one leaf-group block per shard, lookahead = switch latency); deterministic, but contention may resolve in a different order than one kernel (DESIGN.md)", opt.Shards))
 		if opt.ShardTiming {
 			for i, n := range nodes {
 				line := fmt.Sprintf("shard timing N=%d FM %s:", n, pname)

@@ -22,7 +22,7 @@ import (
 // bandwidth flattening while sojourn p99 and backlog blow up.
 //
 // The timeline is always computed on the canonical single-kernel
-// engine, and fmbench rejects -shards > 1 for it (ShardSupport). A
+// engine, and ValidateSoak rejects -shards > 1 for it. A
 // sharded engine is deterministic for a fixed shard count, but under
 // contention it grants switch output ports in merged head-arrival
 // order where the single kernel grants them in injection order — and a
@@ -92,22 +92,21 @@ func soakFaults(opt Options, n int) ([]myrinet.FaultWindow, error) {
 	return plan.Windows(topo, int64(opt.SoakHorizonUs))
 }
 
-// soakNodes resolves the experiment's (adjusted) node count.
+// soakNodes is the node count the soak experiment builds for
+// opt.SoakNodes: at least 8, adjusted to what the base pattern serves.
 func soakNodes(opt Options, base workload.Pattern) int {
-	n := opt.SoakNodes
-	if n == 0 {
-		n = DefaultOptions().SoakNodes
-	}
-	if n < 8 {
-		n = 8
-	}
-	return workload.AdjustNodes(base, n)
+	return workload.AdjustNodes(base, max(opt.SoakNodes, 8))
 }
 
 // ValidateSoak checks every -soak-* setting (and the optional fault
 // plan) before anything runs, so fmbench can reject a bad combination
-// without costing a partial sweep.
+// without costing a partial sweep. It rejects -shards > 1 first, since
+// the timeline runs on one kernel whatever the rest says.
 func ValidateSoak(opt Options) error {
+	if err := checkShards(opt, "soak", 1, "the soak timeline is computed on the canonical single-kernel engine: "+
+		"a saturation study is contended by definition, and sharded contention resolves in a different order"); err != nil {
+		return err
+	}
 	if opt.SoakSource != "poisson" && opt.SoakSource != "fixed" {
 		return fmt.Errorf("unknown -soak-source %q (valid: poisson, fixed)", opt.SoakSource)
 	}

@@ -108,6 +108,7 @@ func TestValidateSoak(t *testing.T) {
 		{"gap truncates to zero", func(o *Options) { o.SoakLoads = []float64{1e300} }, "finite number of picoseconds"},
 		{"horizon overflows", func(o *Options) { o.SoakHorizonUs, o.SoakWindowUs = 1e13, 1e13 }, "overflows"},
 		{"unbuildable clos", func(o *Options) { o.SoakNodes = 1e11 }, "-soak-nodes 100000000000"},
+		{"clos past the port bound", func(o *Options) { o.SoakNodes = 4099 }, "33611800 switch ports, over the"},
 		{"zero horizon", func(o *Options) { o.SoakHorizonUs = 0 }, "-soak-horizon-us"},
 		{"zero window", func(o *Options) { o.SoakWindowUs = 0 }, "-soak-window-us"},
 		{"window > horizon", func(o *Options) { o.SoakWindowUs = 2000 }, "at least one full window"},

@@ -23,14 +23,18 @@ type pairMaker func(size int) metrics.Pair
 // payload as the paper's packet-size sweeps do.
 func fmMaker(cfg core.Config, p *cost.Params) pairMaker {
 	return func(size int) metrics.Pair {
-		c := cluster.NewFM(2, cfg.WithFrame(size), p)
-		return metrics.Pair{
-			A:      c.EPs[0],
-			B:      c.EPs[1],
-			StartA: func(app func()) { c.CPUs[0].Start(app) },
-			StartB: func(app func()) { c.CPUs[1].Start(app) },
-			Run:    c.Run,
-		}
+		return fmPair(cluster.NewFM(2, cfg.WithFrame(size), p))
+	}
+}
+
+// fmPair measures between nodes 0 and 1 of an FM cluster.
+func fmPair(c *cluster.FM) metrics.Pair {
+	return metrics.Pair{
+		A:      c.EPs[0],
+		B:      c.EPs[1],
+		StartA: func(app func()) { c.CPUs[0].Start(app) },
+		StartB: func(app func()) { c.CPUs[1].Start(app) },
+		Run:    c.Run,
 	}
 }
 

@@ -3,6 +3,10 @@ package bench
 import (
 	"math"
 	"testing"
+
+	"fm/internal/cost"
+	"fm/internal/sim"
+	"fm/internal/workload"
 )
 
 // The fmbench pre-flight validators take flag values straight from the
@@ -12,12 +16,11 @@ import (
 // `go test` runs them.
 
 // maxFuzzNodes bounds the node counts handed to a validator that builds
-// the fabric it checks. A count whose Clos geometry passes the check is
-// built, and a prime count derives an N-spine x N-leaf Clos, so an
-// uncapped count could build billions of switch ports. From 1<<34 nodes
-// every geometry has at least 2^17 leaves, past the packed-route port
-// limit, so such counts are rejected before anything is built and pass
-// through unchanged.
+// the fabric it checks. checkClos caps what a count may build at 2^20
+// switch ports, but a build near that cap still takes about a second,
+// far too slow per fuzz input. From 1<<34 nodes every geometry has at
+// least 2^17 leaves, past the packed-route port limit, so such counts
+// are rejected before anything is built and pass through unchanged.
 const maxFuzzNodes = 64
 
 func fuzzNodes(n int) int {
@@ -96,20 +99,63 @@ func FuzzValidateFaults(f *testing.F) {
 	})
 }
 
+// FuzzShardSupport: every experiment bounds -shards. At any node counts
+// Validate rejects -shards MaxInt with a reason, and it checks the bound
+// before it builds a fabric, so raw counts cost nothing. At folded
+// counts (fuzzNodes), a -shards value Validate accepts never fails
+// mid-run: each Clos scale or faults builds partitions at it, and every
+// other experiment accepts only 1.
 func FuzzShardSupport(f *testing.F) {
 	for _, id := range []string{"scale", "faults", "soak", "fabrics", "fig3"} {
-		f.Add(id, 64, 1024, 0)
+		f.Add(id, 64, 1024, 0, 2)
+		f.Add(id, 16, 64, 32, 2)
 	}
-	f.Add("scale", 4611686018427387904, 64, 0)
-	f.Add("faults", 64, 64, 4611686018427387904)
-	f.Add("faults", 64, 64, 100000000000)
-	f.Add("scale", math.MinInt, 0, math.MaxInt)
-	f.Fuzz(func(t *testing.T, id string, n1, n2, faultNodes int) {
+	f.Add("scale", 4611686018427387904, 64, 0, 1)
+	f.Add("faults", 64, 64, 4611686018427387904, 1)
+	f.Add("faults", 64, 64, 100000000000, 1)
+	f.Add("scale", math.MinInt, 0, math.MaxInt, 1)
+	f.Add("faults", 64, 64, 9, 9) // builds clos-10: 5 leaf groups, not 9
+	f.Add("faults", 64, 64, 7, 7) // builds clos-8: 4 leaf groups, not 7
+	f.Add("scale", 9, 6, 0, 3)
+	f.Add("patterns", 4099, 131072, 0, 1)
+	f.Fuzz(func(t *testing.T, id string, n1, n2, nf, shards int) {
+		e, ok := ByID(id)
+		if !ok {
+			return
+		}
 		opt := DefaultOptions()
-		opt.ScaleNodes = []int{n1, n2}
-		opt.FaultNodes = faultNodes
-		if _, detail := ShardSupport(id, opt); detail == "" {
-			t.Fatalf("ShardSupport(%q) gave no reason for its bound", id)
+		setNodes := func(n1, n2, nf int) {
+			opt.ScaleNodes = []int{n1, n2}
+			opt.FabricNodes, opt.PatternNodes = n1, n2
+			opt.FaultNodes, opt.SoakNodes = nf, nf
+		}
+		setNodes(n1, n2, nf)
+		opt.Shards = math.MaxInt
+		if err := e.Validate(opt); err == nil || err.Error() == "" {
+			t.Fatalf("%s: -shards %d accepted, or rejected without a reason", id, opt.Shards)
+		}
+
+		setNodes(fuzzNodes(n1), fuzzNodes(n2), fuzzNodes(nf))
+		opt.Shards = max(shards, 1)
+		if e.Validate(opt) != nil {
+			return
+		}
+		var built []int
+		switch id {
+		case "scale":
+			built = opt.ScaleNodes
+		case "faults":
+			built = []int{faultNodes(opt)}
+		default:
+			if opt.Shards != 1 {
+				t.Fatalf("%s: Validate accepts -shards %d, but the experiment runs on one kernel", id, opt.Shards)
+			}
+		}
+		for _, n := range built {
+			topo := workload.ClosSpec(n).Build(sim.NewKernel(), cost.Default()).Topology()
+			if _, err := topo.Partition(opt.Shards); err != nil {
+				t.Fatalf("%s: Validate accepts -shards %d, but clos-%d does not partition: %v", id, opt.Shards, n, err)
+			}
 		}
 	})
 }

@@ -183,10 +183,10 @@ func NewFabric(k *sim.Kernel, p *cost.Params, t *Topology) *Fabric {
 
 // NewCrossbar builds the paper's measurement fabric: n nodes on a single
 // crossbar switch ("All measurements were taken on an 8-port Myrinet
-// switch", Section 4.1). n must not exceed ports.
+// switch", Section 4.1). n must not exceed ports (CrossbarCheck).
 func NewCrossbar(k *sim.Kernel, p *cost.Params, n, ports int) *Fabric {
-	if n > ports {
-		panic(fmt.Sprintf("myrinet: %d nodes exceed %d switch ports", n, ports))
+	if err := CrossbarCheck(n, ports); err != nil {
+		panic(err.Error())
 	}
 	t := NewTopology()
 	sw := t.AddSwitch("sw0", ports)
@@ -197,6 +197,20 @@ func NewCrossbar(k *sim.Kernel, p *cost.Params, n, ports int) *Fabric {
 	// single delivery hop, so the formulaic fast path applies.
 	t.form = &closForm{leaves: 1, spines: 0, npl: n}
 	return NewFabric(k, p, t)
+}
+
+// CrossbarCheck reports whether NewCrossbar can build n nodes on one
+// switch of the given port count: the nodes must fit, and the ports
+// must be within the packed-route width. NewCrossbar panics on exactly
+// these conditions.
+func CrossbarCheck(n, ports int) error {
+	if n > ports {
+		return fmt.Errorf("myrinet: %d nodes exceed %d switch ports", n, ports)
+	}
+	if ports > maxPackedPorts {
+		return fmt.Errorf("myrinet: %d ports per switch exceed the packed-route limit %d", ports, maxPackedPorts)
+	}
+	return nil
 }
 
 // NewLine builds a linear multi-switch fabric: nodesPerSwitch nodes hang
