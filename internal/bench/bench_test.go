@@ -449,6 +449,30 @@ func TestReportTableTextAndCSV(t *testing.T) {
 	}
 }
 
+// WriteCSV must return the error when a file cannot be written, not
+// leave a short file behind a nil error. Each report below fills one of
+// the four kinds of CSV file, and that file is a symlink to /dev/full,
+// where every write fails with ENOSPC.
+func TestWriteCSVReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	for file, r := range map[string]*Report{
+		"r_c.csv":    {ID: "r", Curves: []Curve{{Name: "c"}}},
+		"r_rows.csv": {ID: "r", Rows: []Row{{Name: "row"}}},
+		"r_t.csv":    {ID: "r", Tables: []Table{{Name: "t", Header: []string{"h"}}}},
+		"r_s.csv":    {ID: "r", Series: []TimeSeries{{Name: "s"}}},
+	} {
+		dir := t.TempDir()
+		if err := os.Symlink("/dev/full", filepath.Join(dir, file)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteCSV(dir); err == nil {
+			t.Errorf("%s: WriteCSV returned nil on a full device", file)
+		}
+	}
+}
+
 func TestSanitize(t *testing.T) {
 	if got := sanitize("a b/c()1"); got != "a_b_c__1" {
 		t.Errorf("sanitize = %q", got)

@@ -402,18 +402,15 @@ func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// WriteCSV writes one CSV per curve plus a rows.csv into dir.
+// WriteCSV writes one CSV per curve, table and series, plus a rows.csv,
+// into dir. It returns the first error creating, writing or closing a
+// file.
 func (r *Report) WriteCSV(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, c := range r.Curves {
-		f, err := os.Create(filepath.Join(dir, r.ID+"_"+sanitize(c.Name)+".csv"))
-		if err != nil {
-			return err
-		}
-		cw := csv.NewWriter(f)
-		_ = cw.Write([]string{"bytes", "latency_us", "bandwidth_MBps"})
+		recs := [][]string{{"bytes", "latency_us", "bandwidth_MBps"}}
 		for _, n := range curveSizes(c) {
 			rec := []string{strconv.Itoa(n), "", ""}
 			if lat, ok := latAt(c, n); ok {
@@ -422,57 +419,36 @@ func (r *Report) WriteCSV(dir string) error {
 			if bw, ok := bwAt(c, n); ok {
 				rec[2] = fmt.Sprintf("%.4f", bw)
 			}
-			_ = cw.Write(rec)
+			recs = append(recs, rec)
 		}
-		cw.Flush()
-		if err := f.Close(); err != nil {
+		if err := writeCSV(filepath.Join(dir, r.ID+"_"+sanitize(c.Name)+".csv"), recs); err != nil {
 			return err
 		}
 	}
 	if len(r.Rows) > 0 {
-		f, err := os.Create(filepath.Join(dir, r.ID+"_rows.csv"))
-		if err != nil {
-			return err
-		}
-		cw := csv.NewWriter(f)
-		_ = cw.Write([]string{"configuration", "t0_us", "rinf_MBps", "nhalf_bytes", "extrapolated",
-			"paper_t0", "paper_rinf", "paper_nhalf"})
+		recs := [][]string{{"configuration", "t0_us", "rinf_MBps", "nhalf_bytes", "extrapolated",
+			"paper_t0", "paper_rinf", "paper_nhalf"}}
 		for _, row := range r.Rows {
-			_ = cw.Write([]string{row.Name,
+			recs = append(recs, []string{row.Name,
 				fmt.Sprintf("%.2f", row.T0us), fmt.Sprintf("%.2f", row.RInf),
 				fmt.Sprintf("%.0f", row.NHalf), strconv.FormatBool(row.Extrap),
 				row.PaperT0, row.PaperR, row.PaperN})
 		}
-		cw.Flush()
-		if err := f.Close(); err != nil {
+		if err := writeCSV(filepath.Join(dir, r.ID+"_rows.csv"), recs); err != nil {
 			return err
 		}
 	}
 	for _, t := range r.Tables {
-		f, err := os.Create(filepath.Join(dir, r.ID+"_"+sanitize(t.Name)+".csv"))
-		if err != nil {
-			return err
-		}
-		cw := csv.NewWriter(f)
-		_ = cw.Write(t.Header)
-		for _, row := range t.Rows {
-			_ = cw.Write(row)
-		}
-		cw.Flush()
-		if err := f.Close(); err != nil {
+		recs := append([][]string{t.Header}, t.Rows...)
+		if err := writeCSV(filepath.Join(dir, r.ID+"_"+sanitize(t.Name)+".csv"), recs); err != nil {
 			return err
 		}
 	}
 	for _, s := range r.Series {
-		f, err := os.Create(filepath.Join(dir, r.ID+"_"+sanitize(s.Name)+".csv"))
-		if err != nil {
-			return err
-		}
-		cw := csv.NewWriter(f)
-		_ = cw.Write([]string{"t_us", "offered", "delivered", "MBps",
-			"p50_us", "p99_us", "p999_us", "inflight", "retransmits"})
+		recs := [][]string{{"t_us", "offered", "delivered", "MBps",
+			"p50_us", "p99_us", "p999_us", "inflight", "retransmits"}}
 		for _, row := range s.Rows {
-			_ = cw.Write([]string{
+			recs = append(recs, []string{
 				fmt.Sprintf("%.0f", row.StartUs),
 				strconv.FormatUint(row.Offered, 10),
 				strconv.FormatUint(row.Delivered, 10),
@@ -484,12 +460,26 @@ func (r *Report) WriteCSV(dir string) error {
 				strconv.FormatUint(row.Retrans, 10),
 			})
 		}
-		cw.Flush()
-		if err := f.Close(); err != nil {
+		if err := writeCSV(filepath.Join(dir, r.ID+"_"+sanitize(s.Name)+".csv"), recs); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeCSV writes records to a new file at path. It returns the first
+// create, write, flush or close error, so a full disk fails the run
+// instead of leaving a short file behind.
+func writeCSV(path string, records [][]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := csv.NewWriter(f).WriteAll(records); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func sanitize(s string) string {

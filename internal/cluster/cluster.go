@@ -37,20 +37,22 @@ type Hardware struct {
 	CPUs  []*host.CPU
 	Devs  []*lanai.Device
 
-	// stacks holds each node's arena-allocated object set so newFMOn
-	// can place the endpoint and control program in the same nodeStack
-	// the hardware layers came from.
-	stacks []*nodeStack
+	// stacks holds every node's object set so newFMOn can place the
+	// endpoint and control program in the same nodeStack the hardware
+	// layers came from.
+	stacks []nodeStack
 }
 
-// nodeStack is the complete per-node object set, allocated as one unit
-// from a chunked arena: a 16k-node cluster then makes ~n/stackChunk
-// allocations for stack headers instead of 5n separate ones, and each
-// node's hot structures share cache lines. Ownership rules: the arena
-// chunk is owned by the cluster that allocated it and lives exactly as
-// long as the cluster; callers only ever see the ordinary
-// *Bus/*CPU/... pointers, which alias into the chunk and
-// must not outlive the cluster — the same lifetime contract the
+// nodeStack is the complete per-node object set. place allocates all
+// of them as one slice: a cluster of any size then makes one
+// allocation for its stacks instead of 5n separate ones, and each
+// node's hot structures share cache lines. A stack is under 1 KB
+// (TestNodeStackFootprint bounds it at 2 KiB), so the slice is 15 MB
+// even at 16,384 nodes and needs no chunking.
+// Ownership rules: the slice is owned by the cluster that allocated it
+// and lives exactly as long as the cluster; callers only ever see the
+// ordinary *Bus/*CPU/... pointers, which alias into it and must not
+// outlive the cluster — the same lifetime contract the
 // individually-allocated objects already had in practice, since every
 // one of them pins the cluster's kernel anyway.
 type nodeStack struct {
@@ -59,41 +61,6 @@ type nodeStack struct {
 	dev lanai.Device
 	ep  core.Endpoint
 	lcp lcp.LCP
-}
-
-// stackChunk caps the arena granularity: large enough to amortize
-// allocation at scale, while newStackArena clamps the chunk to the
-// cluster's node count so tiny clusters don't overcommit (a nodeStack
-// is tens of KB; a 16-node soak must not pay for 512).
-const stackChunk = 512
-
-// stackArena hands out nodeStacks from chunked slabs.
-type stackArena struct {
-	size  int
-	chunk []nodeStack
-	next  int
-}
-
-// newStackArena sizes an arena for a cluster of n nodes.
-func newStackArena(n int) stackArena {
-	size := n
-	if size > stackChunk {
-		size = stackChunk
-	}
-	if size < 1 {
-		size = 1
-	}
-	return stackArena{size: size}
-}
-
-func (a *stackArena) alloc() *nodeStack {
-	if a.next == len(a.chunk) {
-		a.chunk = make([]nodeStack, a.size)
-		a.next = 0
-	}
-	st := &a.chunk[a.next]
-	a.next++
-	return st
 }
 
 // NewHardware builds n nodes on a single crossbar with the given port
@@ -138,8 +105,9 @@ func Fabrics(g *sim.ShardGroup, build func(*sim.Kernel, *cost.Params) *myrinet.F
 	return fabs, part, nil
 }
 
-// place builds every node's hardware (SBus, host CPU, LANai) from one
-// arena, on the kernel and fabric replica of the shard that owns it.
+// place builds every node's hardware (SBus, host CPU, LANai) in one
+// slice of node stacks, on the kernel and fabric replica of the shard
+// that owns it.
 func place(g *sim.ShardGroup, part *myrinet.Partition, p *cost.Params, fabs []*myrinet.Fabric, qc lanai.QueueConfig) *Hardware {
 	n := fabs[0].Nodes()
 	h := &Hardware{
@@ -147,17 +115,15 @@ func place(g *sim.ShardGroup, part *myrinet.Partition, p *cost.Params, fabs []*m
 		Buses:  make([]*sbus.Bus, n),
 		CPUs:   make([]*host.CPU, n),
 		Devs:   make([]*lanai.Device, n),
-		stacks: make([]*nodeStack, n),
+		stacks: make([]nodeStack, n),
 	}
-	arena := newStackArena(n)
-	for id := 0; id < n; id++ {
+	for id := range h.stacks {
 		s := part.Owner(id)
 		k := g.Shard(s).Kernel()
-		st := arena.alloc()
+		st := &h.stacks[id]
 		h.Buses[id] = sbus.NewAt(&st.bus, k, p, fmt.Sprintf("sbus%d", id))
 		h.CPUs[id] = host.NewAt(&st.cpu, k, p, h.Buses[id], id)
 		h.Devs[id] = lanai.NewAt(&st.dev, k, p, h.Buses[id], fabs[s], id, qc)
-		h.stacks[id] = st
 	}
 	return h
 }
@@ -227,7 +193,7 @@ func newFMOn(hw *Hardware, cfg core.Config) *FM {
 	n := len(hw.Devs)
 	c := &FM{Hardware: hw, Cfg: cfg, EPs: make([]*core.Endpoint, n), LCPs: make([]*lcp.LCP, n)}
 	for i := range hw.Devs {
-		st := hw.stacks[i]
+		st := &hw.stacks[i]
 		c.EPs[i] = core.NewAt(&st.ep, hw.CPUs[i], hw.Devs[i], cfg, hw.P)
 		c.LCPs[i] = lcp.StartAt(&st.lcp, hw.Devs[i], cfg.LCPOptions(hw.P))
 	}

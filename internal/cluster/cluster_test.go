@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fm/internal/core"
 	"fm/internal/cost"
@@ -22,6 +24,23 @@ func TestNewFMWiring(t *testing.T) {
 	}
 	if c.Fab.Nodes() != 4 {
 		t.Errorf("fabric nodes = %d", c.Fab.Nodes())
+	}
+}
+
+// TestNodeStackFootprint bounds the per-node object set: place allocates
+// one nodeStack per node, so at 16,384 nodes every byte here costs 16 KB.
+// Per-node instruments belong behind an opt-in pointer, not embedded in
+// a member, and an embedded histogram (16 KB) fails this at once.
+func TestNodeStackFootprint(t *testing.T) {
+	const limit = 2 << 10
+	var st nodeStack
+	size := unsafe.Sizeof(st)
+	sizes := fmt.Sprintf("bus %d, cpu %d, dev %d, ep %d, lcp %d",
+		unsafe.Sizeof(st.bus), unsafe.Sizeof(st.cpu), unsafe.Sizeof(st.dev),
+		unsafe.Sizeof(st.ep), unsafe.Sizeof(st.lcp))
+	t.Logf("nodeStack is %d bytes (%s)", size, sizes)
+	if size > limit {
+		t.Errorf("nodeStack is %d bytes, over the %d-byte bound (%s)", size, limit, sizes)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fm/internal/myrinet"
 	"fm/internal/ring"
 	"fm/internal/sim"
-	"fm/internal/stats"
 )
 
 // Handler consumes a delivered message at the destination, running on the
@@ -75,10 +74,6 @@ type Endpoint struct {
 	seen map[int]map[uint64]bool
 
 	stats Stats
-	// latency records network-injection-to-handler delivery time for
-	// every data packet this endpoint delivers, including the tail that
-	// rejection and retransmission add.
-	latency stats.Histogram
 }
 
 // New creates the endpoint for one node. The caller starts the matching
@@ -88,7 +83,7 @@ func New(cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint
 }
 
 // NewAt is New in caller-provided storage (the cluster layer's per-node
-// stack arena).
+// stack slice).
 func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint {
 	*ep = Endpoint{
 		cpu:         cpu,
@@ -98,11 +93,6 @@ func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.P
 		handlers:    make([]Handler, cfg.MaxHandlers),
 		outstanding: make(map[uint64]int),
 		outPerDst:   make(map[int]int),
-		// Twice the window: receiver rejects are covered by the window
-		// reservation (Section 4.5), but fabric fault bounces can also
-		// return Acks, which hold no window slot. Ring capacity is
-		// timing-neutral, so faultless runs are unchanged.
-		rejectQ:     ring.New[rejectedEntry](fmt.Sprintf("host%d.reject", dev.ID), cfg.WindowSlots*2),
 		pendingAcks: make(map[int][]uint64),
 		seen:        make(map[int]map[uint64]bool),
 	}
@@ -117,10 +107,6 @@ func (ep *Endpoint) Config() Config { return ep.cfg }
 
 // Stats returns a copy of the protocol counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
-
-// LatencyHistogram exposes the delivery-latency distribution (first
-// network injection to handler dispatch) of packets received here.
-func (ep *Endpoint) LatencyHistogram() *stats.Histogram { return &ep.latency }
 
 // Outstanding returns the number of unacknowledged packets in flight.
 func (ep *Endpoint) Outstanding() int { return len(ep.outstanding) }

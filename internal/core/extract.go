@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"fm/internal/myrinet"
+	"fm/internal/ring"
 	"fm/internal/sim"
 )
 
@@ -53,7 +54,7 @@ func (ep *Endpoint) WaitIncoming() {
 // retryDue reports whether the reject queue holds a packet ready to be
 // retransmitted.
 func (ep *Endpoint) retryDue() bool {
-	return ep.cfg.FlowControl && !ep.rejectQ.Empty() &&
+	return ep.cfg.FlowControl && ep.rejectQ != nil && !ep.rejectQ.Empty() &&
 		ep.rejectQ.Peek().retryAt <= ep.Now()
 }
 
@@ -107,11 +108,7 @@ func (ep *Endpoint) process(pkt *myrinet.Packet) bool {
 		pkt.Type = myrinet.Retransmit
 		pkt.Retries++
 		pkt.Acks = pkt.Acks[:0] // consumed above; attachAcks may refill
-		ep.rejectQ.Push(rejectedEntry{pkt: pkt, retryAt: ep.Now().Add(ep.cfg.RetryDelay)})
-		// Arm a wakeup at the retry deadline: a host parked in
-		// WaitIncoming with no inbound traffic must still come back to
-		// retransmit (the stand-in for FM's periodic host polling).
-		ep.dev.HostRecvAvail.PulseAfter(ep.cfg.RetryDelay + sim.Microsecond)
+		ep.requeue(pkt)
 		return false
 	case myrinet.Data, myrinet.Retransmit:
 		ep.deliver(pkt)
@@ -140,9 +137,25 @@ func (ep *Endpoint) requeueBounced(pkt *myrinet.Packet) bool {
 	pkt.Bounced = false
 	pkt.OrigType = 0
 	pkt.Retries++
+	ep.requeue(pkt)
+	return false
+}
+
+// requeue parks a returned frame in the reject queue until its retry
+// delay expires, and arms a wakeup at that deadline: a host parked in
+// WaitIncoming with no inbound traffic must still come back to
+// retransmit (the stand-in for FM's periodic host polling). The queue is
+// allocated on the first return, since most endpoints never see one.
+func (ep *Endpoint) requeue(pkt *myrinet.Packet) {
+	if ep.rejectQ == nil {
+		// Twice the window: receiver rejects are covered by the window
+		// reservation (Section 4.5), but fabric fault bounces can also
+		// return Acks, which hold no window slot. Ring capacity is
+		// timing-neutral, so faultless runs are unchanged.
+		ep.rejectQ = ring.New[rejectedEntry](fmt.Sprintf("host%d.reject", ep.NodeID()), ep.cfg.WindowSlots*2)
+	}
 	ep.rejectQ.Push(rejectedEntry{pkt: pkt, retryAt: ep.Now().Add(ep.cfg.RetryDelay)})
 	ep.dev.HostRecvAvail.PulseAfter(ep.cfg.RetryDelay + sim.Microsecond)
-	return false
 }
 
 // deliver records flow-control state, runs the handler, and recycles the
@@ -171,9 +184,6 @@ func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 	ep.cpu.MemRead(len(pkt.Payload))
 	ep.cpu.Advance(ep.p.HostHandlerDispatch)
 	ep.stats.Delivered++
-	if pkt.Injected > 0 {
-		ep.latency.Record(ep.Now().Sub(pkt.Injected))
-	}
 	h(pkt.Src, pkt.Payload)
 	ep.release(pkt)
 }
@@ -242,7 +252,7 @@ func (ep *Endpoint) shedOverload() {
 
 // retryRejected resends reject-queue entries whose backoff has expired.
 func (ep *Endpoint) retryRejected() {
-	for !ep.rejectQ.Empty() && ep.rejectQ.Peek().retryAt <= ep.Now() {
+	for ep.retryDue() {
 		entry := ep.rejectQ.Pop()
 		// A bounced frame keeps its original acks attached through the
 		// requeue; only attach fresh ones when the slot is empty (on the

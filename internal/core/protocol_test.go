@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"fm/internal/core"
 	"fm/internal/cost"
 	"fm/internal/sim"
+	"fm/internal/stats"
 )
 
 // TestRandomTrafficExactlyOnce is the protocol's property test: across
@@ -121,7 +123,8 @@ func TestRandomTrafficExactlyOnce(t *testing.T) {
 					}
 					doneRecv++
 					for !quiet() {
-						c.CPUs[n].WaitTimeout(c.Devs[n].HostRecvAvail, 150*sim.Microsecond)
+						c.Devs[n].HostRecvAvail.PulseAfter(150 * sim.Microsecond)
+						c.CPUs[n].Wait(c.Devs[n].HostRecvAvail)
 						ep.Extract()
 					}
 				})
@@ -308,7 +311,9 @@ func TestFrameResizeKeepsLANaiBudget(t *testing.T) {
 
 // TestLatencyHistogramRecordsRejectionTail: every delivery is recorded,
 // and rejection+retransmission visibly stretches the distribution's tail
-// relative to its median.
+// relative to its median. Messages are timed the way the workload
+// drivers time them: the sender stamps the send instant into the
+// payload and the handler records the difference.
 func TestLatencyHistogramRecordsRejectionTail(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.HostRecvSlots = 16
@@ -318,21 +323,26 @@ func TestLatencyHistogramRecordsRejectionTail(t *testing.T) {
 	c := cluster.NewFM(2, cfg, cost.Default())
 	const n = 150
 
-	recv := 0
+	var h stats.Histogram
 	c.Start(1, func(ep *core.Endpoint) {
-		ep.RegisterHandler(0, func(int, []byte) {
-			recv++
+		ep.RegisterHandler(0, func(_ int, payload []byte) {
+			h.Record(ep.Now().Sub(sim.Time(binary.LittleEndian.Uint64(payload))))
 			ep.CPU().Advance(30 * sim.Microsecond)
 		})
-		for recv < n {
+		for h.Count() < n {
 			ep.WaitIncoming()
 			ep.Extract()
 		}
 		ep.Extract()
 	})
 	c.Start(0, func(ep *core.Endpoint) {
+		var buf [8]byte
 		for i := 0; i < n; i++ {
-			ep.Send4(1, 0, uint32(i), 0, 0, 0)
+			binary.LittleEndian.PutUint64(buf[:], uint64(ep.Now()))
+			if err := ep.Send(1, 0, buf[:]); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		for ep.Outstanding() > 0 {
 			ep.WaitIncoming()
@@ -342,7 +352,6 @@ func TestLatencyHistogramRecordsRejectionTail(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	h := c.EPs[1].LatencyHistogram()
 	if h.Count() != n {
 		t.Fatalf("histogram has %d samples, want %d", h.Count(), n)
 	}

@@ -339,19 +339,3 @@ func (p *Params) WithFasterLANai(factor float64) *Params {
 	q.LANaiCPI = p.LANaiCPI / factor
 	return q
 }
-
-// WithSlowerHost returns a variant scaling all host software fixed costs
-// by factor, for sensitivity studies of the host/coprocessor division of
-// labor.
-func (p *Params) WithSlowerHost(factor float64) *Params {
-	q := p.Clone()
-	scale := func(d sim.Duration) sim.Duration { return sim.Duration(float64(d) * factor) }
-	q.HostSendCall = scale(p.HostSendCall)
-	q.HostExtractPoll = scale(p.HostExtractPoll)
-	q.HostExtractPacket = scale(p.HostExtractPacket)
-	q.HostHandlerDispatch = scale(p.HostHandlerDispatch)
-	q.HostFlowControlSend = scale(p.HostFlowControlSend)
-	q.HostFlowControlRecv = scale(p.HostFlowControlRecv)
-	q.HostAckBuild = scale(p.HostAckBuild)
-	return q
-}

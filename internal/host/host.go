@@ -35,7 +35,7 @@ func New(k *sim.Kernel, p *cost.Params, bus *sbus.Bus, id int) *CPU {
 
 // NewAt initializes a CPU in caller-provided storage and returns it —
 // the in-place form New wraps, used by the cluster layer's per-node
-// stack arena.
+// stack slice.
 func NewAt(c *CPU, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, id int) *CPU {
 	*c = CPU{ID: id, K: k, P: p, Bus: bus}
 	return c
@@ -68,9 +68,10 @@ func (c *CPU) Now() sim.Time { return c.K.Now() }
 
 // Advance charges d of pure host computation. Like every blocking CPU
 // method, it costs no heap allocation in the steady state: sleeps and
-// signal waits schedule argument-style kernel events and reuse the
-// process's embedded wait registration (see DESIGN.md "Performance"),
-// so per-message host charges never churn the garbage collector.
+// signal waits schedule argument-style kernel events, and a wait appends
+// the process itself to the signal's reused waiter list (see DESIGN.md
+// "Performance"), so per-message host charges never churn the garbage
+// collector.
 func (c *CPU) Advance(d sim.Duration) { c.Proc().Sleep(d) }
 
 // Memcpy charges a host memory-to-memory copy of n bytes (user buffer to
@@ -101,9 +102,3 @@ func (c *CPU) ControlWrite() { c.Bus.ControlWrite(c.Proc()) }
 
 // Wait blocks the application on a signal.
 func (c *CPU) Wait(s *sim.Signal) { c.Proc().Wait(s) }
-
-// WaitTimeout blocks on a signal with a deadline; reports true if
-// signaled.
-func (c *CPU) WaitTimeout(s *sim.Signal, d sim.Duration) bool {
-	return c.Proc().WaitTimeout(s, d)
-}

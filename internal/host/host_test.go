@@ -109,19 +109,3 @@ func TestSequentialAppsAllowed(t *testing.T) {
 		t.Errorf("ran = %d", ran)
 	}
 }
-
-func TestWaitTimeout(t *testing.T) {
-	k, c := newCPU()
-	s := sim.NewSignal(k)
-	c.Start(func() {
-		if c.WaitTimeout(s, sim.Us(3)) {
-			t.Error("unexpected signal")
-		}
-		if c.Now() != sim.Time(sim.Us(3)) {
-			t.Errorf("timeout at %v", c.Now())
-		}
-	})
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-}

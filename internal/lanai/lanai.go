@@ -144,7 +144,7 @@ func New(k *sim.Kernel, p *cost.Params, bus *sbus.Bus, fab *myrinet.Fabric, id i
 }
 
 // NewAt is New in caller-provided storage (the cluster layer's per-node
-// stack arena): same checks, same fabric attachment.
+// stack slice): same checks, same fabric attachment.
 func NewAt(d *Device, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, fab *myrinet.Fabric, id int, cfg QueueConfig) *Device {
 	if fp := cfg.lanaiFootprint(); fp > MemoryBytes {
 		panic(fmt.Sprintf("lanai: queue config needs %d bytes, exceeds %d KB card memory", fp, MemoryBytes>>10))

@@ -88,7 +88,7 @@ func Start(d *lanai.Device, o Options) *LCP {
 }
 
 // StartAt is Start in caller-provided storage (the cluster layer's
-// per-node stack arena): the control-program process spawns on the
+// per-node stack slice): the control-program process spawns on the
 // device's kernel exactly as Start does.
 func StartAt(l *LCP, d *lanai.Device, o Options) *LCP {
 	*l = LCP{d: d, o: o}

@@ -145,7 +145,7 @@ func (c *Comm) node(rank int) int {
 // request is complete when the layer has copied the data out, which —
 // as in FM itself, where FM_send returns once the host has moved the
 // frame — happens before Isend returns; the handle exists for symmetry
-// and Waitall convenience. Tags must be non-negative.
+// with Irecv. Tags must be non-negative.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	c.checkUserTag(tag)
 	c.isend(dst, tag, data)
@@ -249,14 +249,6 @@ func (c *Comm) Wait(req *Request) ([]byte, Status) {
 		c.eng.progress()
 	}
 	return req.data, req.status
-}
-
-// Waitall completes every request. Requests may finish in any order;
-// Waitall returns when all have.
-func (c *Comm) Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		c.Wait(r)
-	}
 }
 
 // envelopeMatch reports whether a posted receive accepts a message.

@@ -10,7 +10,7 @@
 //     non-overtaking guarantee per (source, communicator).
 //   - Communicators with rank translation: World spans the cluster;
 //     Split carves disjoint sub-groups whose ranks are renumbered.
-//   - Blocking Send/Recv and nonblocking Isend/Irecv with Wait/Waitall;
+//   - Blocking Send/Recv and nonblocking Isend/Irecv with Wait;
 //     receives may use AnySource and AnyTag wildcards.
 //   - Collectives (Barrier, Bcast, Reduce, Allreduce, Alltoall) built
 //     on the matching engine itself.

@@ -38,8 +38,8 @@ func New(k *sim.Kernel, p *cost.Params, name string) *Bus {
 }
 
 // NewAt initializes a bus in caller-provided storage and returns it.
-// The cluster layer allocates each node's full stack from a chunked
-// arena (cluster.nodeStack); NewAt is the in-place form New wraps.
+// The cluster layer allocates every node's full stack in one slice
+// (cluster.nodeStack); NewAt is the in-place form New wraps.
 func NewAt(b *Bus, k *sim.Kernel, p *cost.Params, name string) *Bus {
 	*b = Bus{k: k, p: p, res: sim.NewResource(k, name)}
 	return b

@@ -28,15 +28,6 @@ type Kernel struct {
 	stopped bool
 	failure error
 
-	// wake is the deferred process-resume slot: the rare event callbacks
-	// that wake a process from inside arbitrary code (WaitTimeout's
-	// timer, via requestWake) record it here, and the drive loop
-	// performs the actual baton handoff in tail position. The hot wake
-	// form is a nil-fn event handled directly by drive. At most one
-	// event callback runs at a time and each wakes at most one process,
-	// so a single slot suffices.
-	wake *Proc
-
 	// yield is the handoff channel on which the goroutine that completes
 	// (or tears down) a run returns control to the Run caller. It is
 	// unbuffered: every transfer is a strict rendezvous.
@@ -124,10 +115,9 @@ const (
 // the Run caller or a terminated process); a wake addressed to self
 // returns driveSelf without any channel traffic.
 //
-// Process wakes appear in two forms: as wake events (fn == nil, arg =
-// *Proc — the hot form Sleep, Pulse, and Spawn schedule, handled here
-// without any dispatch), and as the deferred wake slot filled by event
-// callbacks (WaitTimeout's timer).
+// A process wake is always a wake event (fn == nil, arg = *Proc, as
+// Sleep, Pulse and Spawn schedule it), handled here without any
+// dispatch; event callbacks never resume a process themselves.
 //
 // Events sharing a timestamp drain in an inner batch loop: the clock is
 // written once and the horizon is not re-checked, because an event at
@@ -138,14 +128,6 @@ const (
 func (k *Kernel) drive(self *Proc) int {
 	q := &k.q
 	for {
-		if p := k.wake; p != nil {
-			k.wake = nil
-			if p == self {
-				return driveSelf
-			}
-			p.resume <- struct{}{}
-			return driveHanded
-		}
 		if k.failure != nil || q.count == 0 {
 			return driveDone
 		}
@@ -172,7 +154,7 @@ func (k *Kernel) drive(self *Proc) int {
 				return driveHanded
 			}
 			e.call()
-			if k.wake != nil || k.failure != nil || !q.NextIsAt(k.now) {
+			if k.failure != nil || !q.NextIsAt(k.now) {
 				break
 			}
 			e = q.near[q.head]
@@ -185,8 +167,8 @@ func (k *Kernel) drive(self *Proc) int {
 	}
 }
 
-// scheduleWake schedules the hot-form wake event for p at absolute time
-// t: fn == nil marks it for direct handoff in the drive loop.
+// scheduleWake schedules the wake event for p at absolute time t:
+// fn == nil marks it for direct handoff in the drive loop.
 func (k *Kernel) scheduleWake(t Time, p *Proc) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", t, k.now))
@@ -195,16 +177,6 @@ func (k *Kernel) scheduleWake(t Time, p *Proc) {
 	if e := (event{at: t, seq: k.seq, arg: p}); !k.q.pushFast(e) {
 		k.q.pushSlow(e)
 	}
-}
-
-// requestWake records p for resumption by the drive loop. Event
-// callbacks must use this instead of touching the process directly so
-// the handoff happens in tail position, after the callback has returned.
-func (k *Kernel) requestWake(p *Proc) {
-	if k.wake != nil {
-		panic("sim: one event woke two processes")
-	}
-	k.wake = p
 }
 
 // Run executes events until the queue is empty or the horizon is reached,
@@ -289,12 +261,6 @@ func (k *Kernel) stopParked() {
 			continue
 		}
 		e.call()
-		if p := k.wake; p != nil {
-			k.wake = nil
-			if !p.dead {
-				k.rendezvous(p)
-			}
-		}
 	}
 }
 

@@ -124,82 +124,17 @@ func TestSignalNoMemory(t *testing.T) {
 	k := NewKernel()
 	s := NewSignal(k)
 	s.Pulse() // no waiters: lost
-	woke := false
-	k.Spawn("w", func(p *Proc) {
-		ok := p.WaitTimeout(s, 5*Microsecond)
-		woke = ok
-	})
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if woke {
-		t.Fatal("waiter observed a pulse that happened before it waited")
-	}
-	if k.Now() != 5*Time(Microsecond) {
-		t.Fatalf("timeout did not advance clock to 5us: %v", k.Now())
-	}
-}
-
-func TestWaitTimeoutSignaledFirst(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	var ok bool
 	var at Time
 	k.Spawn("w", func(p *Proc) {
-		ok = p.WaitTimeout(s, 100*Microsecond)
+		p.Wait(s)
 		at = p.Now()
 	})
-	k.After(3*Microsecond, s.Pulse)
+	k.After(5*Microsecond, s.Pulse)
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("expected signal before timeout")
-	}
-	if at != 3*Time(Microsecond) {
-		t.Fatalf("woke at %v, want 3us", at)
-	}
-}
-
-func TestWaitTimeoutThenLaterPulseHarmless(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	wakes := 0
-	k.Spawn("w", func(p *Proc) {
-		if p.WaitTimeout(s, Microsecond) {
-			t.Error("unexpected signal")
-		}
-		wakes++
-		p.Wait(s) // wait again; the later pulse should wake exactly once
-		wakes++
-	})
-	k.After(10*Microsecond, s.Pulse)
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if wakes != 2 {
-		t.Fatalf("wakes = %d, want 2", wakes)
-	}
-}
-
-func TestWaitFor(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	counter := 0
-	k.Spawn("w", func(p *Proc) {
-		p.WaitFor(s, func() bool { return counter >= 3 })
-		if p.Now() != 3*Time(Microsecond) {
-			t.Errorf("condition met at %v, want 3us", p.Now())
-		}
-	})
-	for i := 1; i <= 3; i++ {
-		k.At(Time(i)*Time(Microsecond), func() { counter++; s.Pulse() })
-	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if counter != 3 {
-		t.Fatalf("counter = %d", counter)
+	if at != 5*Time(Microsecond) {
+		t.Fatalf("waiter woke at %v, want the 5us pulse (a pulse before the wait must be lost)", at)
 	}
 }
 
@@ -640,9 +575,9 @@ func TestLadderBucketReuse(t *testing.T) {
 	}
 }
 
-// TestSignalWaitReuse exercises the embedded wait registration: a
-// process that waits on two different signals in alternation must never
-// see a cross-wired wake.
+// TestSignalWaitReuse: a process that waits on two different signals in
+// alternation must never see a cross-wired wake, even when a stale pulse
+// lands on the signal it waited on last.
 func TestSignalWaitReuse(t *testing.T) {
 	k := NewKernel()
 	a := NewSignal(k)

@@ -46,14 +46,6 @@ type Proc struct {
 	// block that scheduled them), but a process that fails while driving
 	// can leave stale wake state behind for teardown to encounter.
 	dead bool
-
-	// wreg is the reusable wait registration for plain (untimed) signal
-	// waits. A process blocks on at most one signal at a time, and a
-	// plain wait's registration leaves the signal's waiter list exactly
-	// when the process is woken, so one embedded registration per process
-	// suffices — Wait allocates nothing. Timed waits (WaitTimeout) use a
-	// fresh registration because their timer event can outlive the wait.
-	wreg waitReg
 }
 
 // Name returns the name the process was spawned with.

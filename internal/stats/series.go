@@ -12,10 +12,7 @@ import (
 // completed deliveries with their payload bytes, retransmissions, and
 // the full sojourn-latency distribution of the deliveries. Everything
 // it stores is an integer count or an integer-bucketed histogram, so a
-// Series built from a deterministic simulation is byte-reproducible,
-// and merging per-shard (or per-rank) Series window-wise is exact: the
-// merge of the parts equals the Series of the whole stream, in any
-// grouping and order (see TestSeriesMergePartition).
+// Series built from a deterministic simulation is byte-reproducible.
 //
 // Window membership is half-open: an event at instant t belongs to
 // window floor(t / width), so window w covers [w*width, (w+1)*width).
@@ -28,9 +25,8 @@ type Series struct {
 }
 
 // Window is one fixed-width virtual-time window's accumulators. The
-// in-flight count is not stored — it is the running difference of
-// offered and delivered, derived by Series.InFlight — so window-wise
-// merging stays exact.
+// in-flight count is not stored: it is the running difference of
+// offered and delivered, derived by Series.InFlight.
 type Window struct {
 	// Offered counts the arrivals the open-loop schedule placed in this
 	// window (work handed to the system, whether or not it was sent yet).
@@ -118,30 +114,6 @@ func (s *Series) InFlight(i int) int64 {
 func (s *Series) Extend(n int) {
 	for len(s.wins) < n {
 		s.wins = append(s.wins, Window{})
-	}
-}
-
-// Merge folds other into s window-wise. Both series must share one
-// window width; s extends to cover other's span. Merging is exact:
-// counts add, histograms merge bucket-wise, and InFlight of the merge
-// equals the sum of the parts' running differences — so per-shard or
-// per-rank series merged in any grouping reproduce the whole stream's
-// series byte for byte.
-func (s *Series) Merge(other *Series) {
-	if other.width != s.width {
-		panic(fmt.Sprintf("stats: merging series of width %v into width %v", other.width, s.width))
-	}
-	for len(s.wins) < len(other.wins) {
-		s.wins = append(s.wins, Window{})
-	}
-	for i := range other.wins {
-		o := &other.wins[i]
-		w := &s.wins[i]
-		w.Offered += o.Offered
-		w.Delivered += o.Delivered
-		w.Bytes += o.Bytes
-		w.Retrans += o.Retrans
-		w.Lat.Merge(&o.Lat)
 	}
 }
 

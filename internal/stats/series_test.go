@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"fm/internal/sim"
 )
@@ -94,17 +92,6 @@ func TestSeriesTotals(t *testing.T) {
 	}
 }
 
-func TestSeriesWidthMismatchPanics(t *testing.T) {
-	a := NewSeries(sim.Microsecond)
-	b := NewSeries(2 * sim.Microsecond)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected width-mismatch panic")
-		}
-	}()
-	a.Merge(b)
-}
-
 func TestSeriesNegativeInstantPanics(t *testing.T) {
 	s := NewSeries(sim.Microsecond)
 	defer func() {
@@ -122,93 +109,4 @@ func TestSeriesZeroWidthPanics(t *testing.T) {
 		}
 	}()
 	NewSeries(0)
-}
-
-// seriesEvent is one randomized sample for the partition/merge property.
-type seriesEvent struct {
-	kind    int // 0 arrival, 1 delivery, 2 retransmits
-	at      sim.Time
-	sojourn sim.Duration
-	bytes   int
-	n       uint64
-}
-
-func applyEvent(s *Series, e seriesEvent) {
-	switch e.kind {
-	case 0:
-		s.Arrival(e.at)
-	case 1:
-		s.Delivery(e.at, e.sojourn, e.bytes)
-	default:
-		s.Retransmits(e.at, e.n)
-	}
-}
-
-func seriesEqual(a, b *Series) bool {
-	if a.Width() != b.Width() || a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if *a.Window(i) != *b.Window(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSeriesMergePartition pins the property the sharded soak pipeline
-// leans on: partition a random event stream into k sub-streams (the
-// "per-shard" views), window each independently, then merge the parts
-// in random order — the result must equal the Series of the whole
-// stream exactly, windows, histograms, backlog curve and all.
-func TestSeriesMergePartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		width := sim.Duration(1+rng.Intn(50)) * sim.Microsecond
-		n := 200 + rng.Intn(800)
-		events := make([]seriesEvent, n)
-		horizon := int64(2 * sim.Millisecond)
-		for i := range events {
-			events[i] = seriesEvent{
-				kind:    rng.Intn(3),
-				at:      sim.Time(rng.Int63n(horizon)),
-				sojourn: sim.Duration(rng.Int63n(int64(sim.Millisecond))),
-				bytes:   rng.Intn(4096),
-				n:       uint64(rng.Intn(5)),
-			}
-		}
-
-		whole := NewSeries(width)
-		for _, e := range events {
-			applyEvent(whole, e)
-		}
-
-		k := 1 + rng.Intn(8)
-		parts := make([]*Series, k)
-		for i := range parts {
-			parts[i] = NewSeries(width)
-		}
-		for _, e := range events {
-			applyEvent(parts[rng.Intn(k)], e)
-		}
-
-		// Merge the parts in a random order into a fresh series.
-		merged := NewSeries(width)
-		for _, i := range rng.Perm(k) {
-			merged.Merge(parts[i])
-		}
-		if !seriesEqual(whole, merged) {
-			return false
-		}
-		// InFlight agrees at every window too (it is derived, but pin it).
-		for i := 0; i < whole.Len(); i++ {
-			if whole.InFlight(i) != merged.InFlight(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit the measurement
 // side of the repository uses: an HDR-style logarithmic histogram for
-// virtual-time latencies (deterministic, allocation-light) and running
-// scalar summaries.
+// virtual-time latencies (deterministic, allocation-light) and its
+// windowed form, Series, for open-loop runs.
 //
 // The paper reports means; a reproduction built on a deterministic
 // simulator can do better and expose full delivery-latency distributions
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 
 	"fm/internal/sim"
 )
@@ -75,8 +74,8 @@ func (h *Histogram) Count() uint64 { return h.n }
 
 // Empty-histogram contract: every query on a histogram with no samples
 // returns its zero value — Mean, Min, Max, and Percentile (at any p)
-// return 0, Summary returns "no samples", and Bars returns "". Callers
-// may therefore ask without checking Count first; windowed series lean
+// return 0, and Summary returns "no samples". Callers may therefore
+// ask without checking Count first; windowed series lean
 // on this, since an idle window's percentiles must print as zeros, not
 // panic or fabricate values. Pinned by TestEmptyHistogramContract.
 
@@ -161,72 +160,4 @@ func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
 		h.n, h.Mean(), h.Percentile(0.50), h.Percentile(0.90),
 		h.Percentile(0.99), h.Max())
-}
-
-// Scalar is a running min/mean/max of float64 observations.
-type Scalar struct {
-	n        uint64
-	sum      float64
-	min, max float64
-}
-
-// Add records one observation.
-func (s *Scalar) Add(v float64) {
-	if s.n == 0 || v < s.min {
-		s.min = v
-	}
-	if s.n == 0 || v > s.max {
-		s.max = v
-	}
-	s.n++
-	s.sum += v
-}
-
-// Count returns the observation count.
-func (s *Scalar) Count() uint64 { return s.n }
-
-// Mean returns the running mean (0 with no observations).
-func (s *Scalar) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation.
-func (s *Scalar) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Scalar) Max() float64 { return s.max }
-
-// String formats the scalar summary.
-func (s *Scalar) String() string {
-	return fmt.Sprintf("n=%d min=%.4g mean=%.4g max=%.4g", s.n, s.min, s.Mean(), s.max)
-}
-
-// Bars renders a coarse ASCII distribution of the histogram between its
-// min and max, for CLI diagnostics.
-func (h *Histogram) Bars(width int) string {
-	if h.n == 0 || width <= 0 {
-		return ""
-	}
-	var peak uint64
-	lo, hi := bucket(h.min), bucket(h.max)
-	for i := lo; i <= hi; i++ {
-		if h.counts[i] > peak {
-			peak = h.counts[i]
-		}
-	}
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		if h.counts[i] == 0 {
-			continue
-		}
-		bar := int(h.counts[i] * uint64(width) / peak)
-		if bar == 0 {
-			bar = 1
-		}
-		fmt.Fprintf(&b, "%12v %s %d\n", lower(i), strings.Repeat("#", bar), h.counts[i])
-	}
-	return b.String()
 }

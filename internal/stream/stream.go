@@ -111,9 +111,6 @@ type Conn struct {
 
 var _ io.ReadWriteCloser = (*Conn)(nil)
 
-// Peer returns the remote node id.
-func (c *Conn) Peer() int { return c.peer }
-
 // accept integrates one segment (handler context).
 func (c *Conn) accept(seq uint32, flags byte, body []byte) {
 	if flags&flagFIN != 0 {
@@ -190,9 +187,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 func (c *Conn) Close() error {
 	return c.send(nil, flagFIN)
 }
-
-// Buffered returns how many in-order bytes are ready without blocking.
-func (c *Conn) Buffered() int { return len(c.readBuf) }
 
 // Pending returns how many out-of-order segments await reassembly
 // (non-zero only after return-to-sender reordering).

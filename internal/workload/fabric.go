@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"fm/internal/cost"
 	"fm/internal/myrinet"
 	"fm/internal/sim"
@@ -86,9 +84,4 @@ func (s FabricSpec) RouteHint(nodes, messages int) int {
 		hint = messages
 	}
 	return hint
-}
-
-// String renders the spec for diagnostics.
-func (s FabricSpec) String() string {
-	return fmt.Sprintf("%s (%d switches)", s.Name, s.Switches)
 }

@@ -54,34 +54,40 @@ func TestSequentialPatternsStayMaterialized(t *testing.T) {
 }
 
 // genSeqs must produce identical totals whichever form the pattern
-// takes; drive a streaming pattern through both and compare.
+// takes: drive every catalog pattern (streaming and materialized)
+// through it and compare against a walk of Gen. The per-rank expect
+// counts are what the drivers wait on, so they must match Gen's
+// destinations exactly.
 func TestGenSeqsStreamingTotalsMatchMaterialized(t *testing.T) {
-	pat := AllToAll{Rounds: 2}
-	const n, def = 7, 64
-	seqs, messages, bytes, expect, maxSize := genSeqs(pat, n, def)
+	const def = 64
+	for _, pat := range catalog() {
+		n := AdjustNodes(pat, 7)
+		seqs, messages, bytes, expect, maxSize := genSeqs(pat, n, def)
 
-	wantMessages, wantBytes, wantMax := 0, int64(0), def
-	wantExpect := make([]int, n)
-	for src := 0; src < n; src++ {
-		list := pat.Gen(src, n)
-		if seqs[src].Len() != len(list) {
-			t.Fatalf("rank %d: seq len %d, Gen len %d", src, seqs[src].Len(), len(list))
-		}
-		for j, s := range list {
-			if seqs[src].At(j) != s {
-				t.Fatalf("rank %d send %d: seq %+v, Gen %+v", src, j, seqs[src].At(j), s)
+		wantMessages, wantBytes, wantMax := 0, int64(0), def
+		wantExpect := make([]int, n)
+		for src := 0; src < n; src++ {
+			list := pat.Gen(src, n)
+			if seqs[src].Len() != len(list) {
+				t.Fatalf("%s rank %d: seq len %d, Gen len %d", pat.Name(), src, seqs[src].Len(), len(list))
 			}
-			wantMessages++
-			wantBytes += int64(sendSize(s, def))
-			wantExpect[s.Dst]++
+			for j, s := range list {
+				if seqs[src].At(j) != s {
+					t.Fatalf("%s rank %d send %d: seq %+v, Gen %+v", pat.Name(), src, j, seqs[src].At(j), s)
+				}
+				wantMessages++
+				wantBytes += int64(sendSize(s, def))
+				wantMax = max(wantMax, sendSize(s, def))
+				wantExpect[s.Dst]++
+			}
 		}
-	}
-	if messages != wantMessages || bytes != wantBytes || maxSize != wantMax {
-		t.Fatalf("totals (%d, %d, %d) != (%d, %d, %d)", messages, bytes, maxSize, wantMessages, wantBytes, wantMax)
-	}
-	for i := range expect {
-		if expect[i] != wantExpect[i] {
-			t.Fatalf("expect[%d] = %d, want %d", i, expect[i], wantExpect[i])
+		if messages != wantMessages || bytes != wantBytes || maxSize != wantMax {
+			t.Fatalf("%s: totals (%d, %d, %d) != (%d, %d, %d)", pat.Name(), messages, bytes, maxSize, wantMessages, wantBytes, wantMax)
+		}
+		for i := range expect {
+			if expect[i] != wantExpect[i] {
+				t.Fatalf("%s: expect[%d] = %d, want %d", pat.Name(), i, expect[i], wantExpect[i])
+			}
 		}
 	}
 }

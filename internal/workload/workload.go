@@ -99,16 +99,3 @@ func Total(p Pattern, n int) int {
 	}
 	return total
 }
-
-// RecvCounts returns, per rank, how many messages the pattern delivers
-// to it — the expected-arrival bookkeeping the FM and MPI drivers need
-// before any rank can decide it is done.
-func RecvCounts(p Pattern, n int) []int {
-	counts := make([]int, n)
-	for src := 0; src < n; src++ {
-		for _, s := range p.Gen(src, n) {
-			counts[s.Dst]++
-		}
-	}
-	return counts
-}
