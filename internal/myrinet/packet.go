@@ -5,8 +5,9 @@
 package myrinet
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
 
 	"fm/internal/sim"
 )
@@ -140,21 +141,22 @@ func (p *Packet) SetPayload(b []byte) {
 // WireBytes returns the total bytes the frame occupies on a link.
 func (p *Packet) WireBytes() int { return p.HeaderBytes + len(p.Payload) }
 
-// checksum hashes the fields that must be immutable in flight.
+// frameSeed keys the frame check. Nothing compares check values across
+// processes, so a per-process seed is enough.
+var frameSeed = maphash.MakeSeed()
+
+// checksum hashes the fields that must be immutable in flight: the
+// header fields at full width, then the payload's hash, so a change to
+// any of them changes the result.
 func (p *Packet) checksum() uint64 {
-	h := fnv.New64a()
-	var hdr [8]byte
-	hdr[0] = byte(p.Src)
-	hdr[1] = byte(p.Dst)
-	hdr[2] = byte(p.Type)
-	hdr[3] = byte(p.Handler)
-	hdr[4] = byte(p.Seq)
-	hdr[5] = byte(p.Seq >> 8)
-	hdr[6] = byte(p.Seq >> 16)
-	hdr[7] = byte(p.Seq >> 24)
-	h.Write(hdr[:])
-	h.Write(p.Payload)
-	return h.Sum64()
+	var hdr [41]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(p.Src))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(p.Dst))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(p.Handler))
+	binary.LittleEndian.PutUint64(hdr[24:], p.Seq)
+	binary.LittleEndian.PutUint64(hdr[32:], maphash.Bytes(frameSeed, p.Payload))
+	hdr[40] = byte(p.Type)
+	return maphash.Bytes(frameSeed, hdr[:])
 }
 
 // Seal stamps the frame check sequence prior to injection.

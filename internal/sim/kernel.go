@@ -1,25 +1,20 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kernel is the event loop at the heart of a simulation. It owns the
 // virtual clock and the event queue and coordinates process scheduling.
 // A Kernel (and everything scheduled on it) must be driven from a single
-// goroutine; process goroutines are synchronized internally so that only
-// one of them is ever runnable at a time.
+// goroutine; each process runs on a runtime coroutine (iter.Pull) that
+// only ever runs while the driving goroutine is switched into it, so
+// exactly one of them is running at a time.
 //
-// Scheduling is symmetric: there is no dedicated scheduler goroutine
-// that every process handoff must bounce through. Whichever goroutine
-// holds control — the Run caller initially, afterwards whichever process
-// last blocked — drives the event loop itself (see drive), and hands the
-// baton directly to the next process to wake. A process-to-process
-// switch therefore costs one channel rendezvous instead of two, and a
-// process whose own wake event is next continues without any rendezvous
-// at all. Event order is untouched: the queue pops in the same (at, seq)
-// order regardless of which goroutine is driving.
+// Processes drive themselves: a process that blocks runs the event loop
+// itself (see drive) until the next process wake comes up. If that wake
+// is its own, it simply continues — no switch at all. Otherwise it
+// yields to the trampoline loop in Step, which resumes the woken
+// process. Event order is untouched: the queue pops in the same
+// (at, seq) order regardless of which coroutine is driving.
 type Kernel struct {
 	now     Time
 	q       ladder
@@ -28,28 +23,16 @@ type Kernel struct {
 	stopped bool
 	failure error
 
-	// yield is the handoff channel on which the goroutine that completes
-	// (or tears down) a run returns control to the Run caller. It is
-	// unbuffered: every transfer is a strict rendezvous.
-	yield chan struct{}
+	// procs lists every process in spawn order. Teardown walks it to
+	// unwind processes parked on a signal (as opposed to a timed
+	// sleep, which keeps a pending event alive).
+	procs []*Proc
 
-	// parked holds processes blocked on a Signal (as opposed to a timed
-	// sleep, which keeps a pending event alive). Stop uses it to unwind
-	// their goroutines.
-	parked map[*Proc]struct{}
-
-	procs     int // live process count
-	nextProc  int
 	eventsRun uint64
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
-func NewKernel() *Kernel {
-	return &Kernel{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-	}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -96,24 +79,11 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) {
 	k.AtArg(k.now.Add(d), fn, arg)
 }
 
-// drive outcomes.
-const (
-	// driveHanded: the baton went to another process; the calling
-	// goroutine must park (or exit, if its process has terminated).
-	driveHanded = iota
-	// driveSelf: the next event resumed the driving process itself; it
-	// simply keeps running — no rendezvous happened.
-	driveSelf
-	// driveDone: the run is complete (queue empty, horizon reached, or a
-	// failure recorded); control belongs back with the Run caller.
-	driveDone
-)
-
-// drive executes events until the run completes or a process other than
-// self must be resumed, in which case it sends the baton and returns
-// driveHanded. self is the process whose goroutine is driving (nil for
-// the Run caller or a terminated process); a wake addressed to self
-// returns driveSelf without any channel traffic.
+// drive executes events until the window completes or a process wake
+// comes up, and returns the woken process (nil: the window is complete
+// — queue empty, horizon reached, or a failure recorded). The caller is
+// either the trampoline in Step or a blocking process; a blocking
+// process that gets its own wake back just keeps running.
 //
 // A process wake is always a wake event (fn == nil, arg = *Proc, as
 // Sleep, Pulse and Spawn schedule it), handled here without any
@@ -125,14 +95,14 @@ const (
 // behind it (including any it schedules itself, which take later seq
 // numbers and sort behind pending same-instant events exactly as they
 // did under the binary heap).
-func (k *Kernel) drive(self *Proc) int {
+func (k *Kernel) drive() *Proc {
 	q := &k.q
 	for {
 		if k.failure != nil || q.count == 0 {
-			return driveDone
+			return nil
 		}
 		if q.PeekAt() > k.horizon {
-			return driveDone
+			return nil
 		}
 		// Hand-inlined pops: PeekAt has refilled the near tier for the
 		// first, NextIsAt guarantees a pending event for the rest.
@@ -146,12 +116,7 @@ func (k *Kernel) drive(self *Proc) int {
 		for {
 			k.eventsRun++
 			if e.fn == nil {
-				p := e.arg.(*Proc)
-				if p == self {
-					return driveSelf
-				}
-				p.resume <- struct{}{}
-				return driveHanded
+				return e.arg.(*Proc)
 			}
 			e.call()
 			if k.failure != nil || !q.NextIsAt(k.now) {
@@ -198,12 +163,19 @@ func (k *Kernel) RunAll() error { return k.Run(MaxTime) }
 // drives barrier-to-barrier; a completed sequence of Steps must end
 // with Finish to unwind parked processes. It returns the first process
 // failure, if any.
+//
+// Step is the trampoline: it resumes each woken process, which runs
+// (and drives the event loop while it blocks) until it yields the next
+// process to resume. A process whose body has ended yields nil and
+// hands its coroutine back; Step then drives on itself.
 func (k *Kernel) Step(horizon Time) error {
 	k.horizon = horizon
-	if k.drive(nil) == driveHanded {
-		// The baton is out with the processes; park until whichever
-		// goroutine completes the window hands it back.
-		<-k.yield
+	for p := k.drive(); p != nil; {
+		next, ended := p.resume()
+		if ended {
+			next = k.drive()
+		}
+		p = next
 	}
 	return k.failure
 }
@@ -226,51 +198,44 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 	return k.q.PeekAt(), true
 }
 
-// stopParked wakes every process blocked on a signal with the stop
-// sentinel so its goroutine can exit. Timed sleepers are abandoned (their
-// wake events were drained or are beyond the horizon); their goroutines
-// are released the same way if their events remain.
+// stopParked resumes every process still blocked so its coroutine
+// unwinds (see block) and goes back to the idle list. Processes parked
+// on a signal go first, in spawn order; then the pending events drain,
+// which resumes the timed sleepers (their wakes lie past the horizon)
+// without advancing the clock. The passes repeat until nothing is
+// parked and nothing is pending, since unwinding code may block again.
 func (k *Kernel) stopParked() {
 	k.stopped = true
-	for len(k.parked) > 0 {
-		// Deterministic order: lowest process id first.
-		ps := make([]*Proc, 0, len(k.parked))
-		for p := range k.parked {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
-		for _, p := range ps {
-			if _, still := k.parked[p]; still {
-				delete(k.parked, p)
-				k.rendezvous(p)
+	for {
+		unwound := false
+		for _, p := range k.procs {
+			if p.parked {
+				p.parked = false
+				p.resume()
+				unwound = true
 			}
 		}
-	}
-	// Any remaining timed sleepers still hold pending wake events; run
-	// them so the goroutines observe stopped and unwind.
-	for k.q.Len() > 0 {
-		e := k.q.Pop()
-		// Do not advance the clock during teardown. A failed run can
-		// leave stale wakes for processes that already unwound (e.g. a
-		// Pulse drained here naming a dead waiter); skip those — a dead
-		// process's goroutine is gone and cannot take a rendezvous.
-		if e.fn == nil {
-			if p := e.arg.(*Proc); !p.dead {
-				k.rendezvous(p)
-			}
+		if unwound {
 			continue
 		}
-		e.call()
+		if k.q.Len() == 0 {
+			return
+		}
+		for k.q.Len() > 0 {
+			e := k.q.Pop()
+			// A failed run can leave stale wakes for processes that
+			// already ended (e.g. a Pulse drained here naming a dead
+			// waiter); skip those — a dead process's coroutine may
+			// already be serving another process.
+			if e.fn == nil {
+				if p := e.arg.(*Proc); !p.dead {
+					p.resume()
+				}
+				continue
+			}
+			e.call()
+		}
 	}
-}
-
-// rendezvous transfers control to p and waits for it to give control
-// back on the yield channel. It is the teardown-path handoff: during a
-// run, transfers go through drive instead, which does not take control
-// back.
-func (k *Kernel) rendezvous(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
 }
 
 // fail records the first process failure; the run loop stops on the next

@@ -195,9 +195,9 @@ func TestProcPanicSurfaces(t *testing.T) {
 	}
 }
 
-// TestCallbackPanicAttribution pins failure blame under symmetric
-// scheduling: a panic inside a plain event callback that happens to run
-// on a driving process's goroutine must be reported as a callback
+// TestCallbackPanicAttribution pins failure blame under self-driving
+// processes: a panic inside a plain event callback that happens to run
+// on a driving process's coroutine must be reported as a callback
 // failure, not as that process panicking.
 func TestCallbackPanicAttribution(t *testing.T) {
 	k := NewKernel()

@@ -30,7 +30,7 @@ func (s *Signal) Pulse() {
 	ps := s.waiters
 	s.waiters = ps[:0]
 	for _, p := range ps {
-		delete(s.k.parked, p)
+		p.parked = false
 		s.k.scheduleWake(s.k.now, p)
 	}
 	clear(ps) // release process references

@@ -4,8 +4,8 @@
 // The kernel advances an integer virtual clock (picosecond resolution) by
 // executing events from a priority queue ordered by (time, insertion
 // sequence). Simulated activities may be expressed either as plain event
-// callbacks or as processes: ordinary Go functions running in their own
-// goroutine that block on kernel primitives (Sleep, Wait, Use). The kernel
+// callbacks or as processes: ordinary Go functions running on their own
+// coroutine that block on kernel primitives (Sleep, Wait, Use). The kernel
 // guarantees that at most one process runs at any instant, so simulations
 // are fully deterministic and race-free regardless of host parallelism.
 package sim
