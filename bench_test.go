@@ -1,199 +1,26 @@
 package fm
 
-// One testing.B benchmark per paper artifact (Figures 3, 4, 7, 8, 9 and
-// Table 4), each regenerating a representative measurement point of that
-// figure inside the deterministic simulator and reporting the simulated
-// result as custom metrics:
-//
-//	sim-MB/s        delivered payload bandwidth in virtual time
-//	sim-lat-us      one-way latency in virtual time
-//
-// Wall-clock ns/op measures the simulator itself; the sim-* metrics are
-// the paper-comparable numbers. Full sweeps: go run ./cmd/fmbench.
-
+// Simulator hot-path benchmarks: each one measures the simulator itself
+// (not the modeled hardware) — the kernel event loop, raw fabric
+// forwarding, the full FM send/extract stack and the workload drivers.
+// CI runs them as a build/panic smoke test; their allocs/op (and B/op,
+// where a baseline commits to it) are the regression surface for the
+// engine's allocation discipline, gated by cmd/benchcheck against the
+// committed BENCH_*.json baselines (see DESIGN.md "Performance"). The
+// paper's figures and tables come from cmd/fmbench.
 import (
 	"testing"
 
 	"fm/internal/bench"
 	"fm/internal/core"
 	"fm/internal/cost"
-	"fm/internal/myriapi"
 	"fm/internal/myrinet"
 	"fm/internal/sim"
 	"fm/internal/workload"
 )
 
-const (
-	benchSize    = 128 // the paper's chosen frame size
-	benchPackets = 4096
-	benchRounds  = 50
-)
-
-// --- Figure 3: LANai-to-LANai, baseline vs. streamed LCP ---
-
-func BenchmarkFig3BaselineLCPBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		mbps = bench.LANaiStream(p, false, benchSize, benchPackets).MBps
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig3StreamedLCPBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		mbps = bench.LANaiStream(p, true, benchSize, benchPackets).MBps
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig3StreamedLCPLatency(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.LANaiPingPong(p, true, benchSize, benchRounds).OneWay.Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- Figure 4: minimal host-to-host, hybrid vs. all-DMA ---
-
-func BenchmarkFig4HybridBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigHybridVestigial(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig4AllDMABandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigAllDMAVestigial(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig4HybridLatency(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.FMPingPong(bench.ConfigHybridVestigial(), p, benchSize, benchRounds).Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- Figure 7: buffer management and switch() interpretation ---
-
-func BenchmarkFig7BufferMgmtBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigBufMgmt(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig7SwitchInterpretationBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigBufSwitch(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-// --- Figure 8 / Table 4 row "flow": the complete FM 1.0 layer ---
-
-func BenchmarkFig8FullFMBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigFullFM(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig8FullFMLatency(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.FMPingPong(bench.ConfigFullFM(), p, benchSize, benchRounds).Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- Figure 9: FM vs. the Myrinet API ---
-
-func BenchmarkFig9APIImmBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.APIStream(myriapi.SendImm, p, benchSize, benchPackets/8)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig9APIDMABandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.APIStream(myriapi.SendDMA, p, benchSize, benchPackets/8)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkFig9APIImmLatency(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.APIPingPong(myriapi.SendImm, p, benchSize, 10).Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- Table 4 summary points: headline latencies at 16B ---
-
-func BenchmarkTable4FullFMLatency16B(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.FMPingPong(core.DefaultConfig().WithFrame(16), p, 16, benchRounds).Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- The mpi experiment: MPI-on-FM cost of layering ---
-
-func BenchmarkMPIBandwidth(b *testing.B) {
-	p := cost.Default()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		mbps = bench.MPIStream(p, benchSize, benchPackets).MBps
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkMPILatency(b *testing.B) {
-	p := cost.Default()
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.MPIPingPong(p, benchSize, benchRounds).OneWay.Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-// --- Simulator hot paths: wall-clock and allocation benchmarks ---
-//
-// These three benchmarks measure the simulator itself (not the modeled
-// hardware): the kernel event loop, raw fabric forwarding, and the full
-// FM send/extract stack. CI runs them as a build/panic smoke test; their
-// allocs/op are the regression surface for the engine's allocation
-// discipline (see DESIGN.md "Performance").
+// benchSize is the paper's chosen frame size.
+const benchSize = 128
 
 // BenchmarkKernelEvents drives the bare event loop: processes sleeping
 // in a tight loop plus a chain of plain events, no network model at all.
@@ -390,47 +217,4 @@ func BenchmarkSoakDrive(b *testing.B) {
 		backlog = float64(res.Series.InFlight(res.HorizonWindows() - 1))
 	}
 	b.ReportMetric(backlog, "sim-backlog")
-}
-
-// --- Ablation benches: the DESIGN.md design choices ---
-
-func BenchmarkAblationBurstPIO(b *testing.B) {
-	p := cost.Default().WithBurstPIO()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(bench.ConfigFullFM(), p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkAblationFasterLANai(b *testing.B) {
-	p := cost.Default().WithFasterLANai(2)
-	var us float64
-	for i := 0; i < b.N; i++ {
-		us = bench.FMPingPong(bench.ConfigFullFM(), p, benchSize, benchRounds).Microseconds()
-	}
-	b.ReportMetric(us, "sim-lat-us")
-}
-
-func BenchmarkAblationSlidingWindow(b *testing.B) {
-	p := cost.Default()
-	cfg := bench.ConfigFullFM()
-	cfg.Protocol = core.SlidingWindow
-	cfg.RejectThreshold = 0
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(cfg, p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
-}
-
-func BenchmarkAblationBaselineLCPInFullStack(b *testing.B) {
-	p := cost.Default()
-	cfg := bench.ConfigFullFM()
-	cfg.Streamed = false
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		_, mbps = bench.FMStream(cfg, p, benchSize, benchPackets)
-	}
-	b.ReportMetric(mbps, "sim-MB/s")
 }

@@ -119,7 +119,7 @@ var bytesField = regexp.MustCompile(`(\S+)\s+B/op`)
 // check scans `go test -bench` output against the baselines, writing
 // one verdict line per gated benchmark, and returns the process exit
 // code. Split from main so the gate's logic is testable end to end.
-func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold float64, allowMissing bool) int {
+func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold float64) int {
 	checked, failed := 0, 0
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(in)
@@ -187,21 +187,19 @@ func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold f
 		fmt.Fprintln(errw, "benchcheck: no benchmark with a committed baseline appeared in the input")
 		return 1
 	}
-	if !allowMissing {
-		// A baselined benchmark that never appeared means the gate
-		// quietly narrowed (renamed benchmark, trimmed -bench regex);
-		// fail so the baseline and the run are reconciled explicitly.
-		names := make([]string, 0, len(base))
-		for name := range base {
-			if !seen[name] {
-				names = append(names, name)
-			}
+	// A baselined benchmark that never appeared means the gate quietly
+	// narrowed (renamed benchmark, trimmed -bench regex); fail so the
+	// baseline and the run are reconciled explicitly.
+	names := make([]string, 0, len(base))
+	for name := range base {
+		if !seen[name] {
+			names = append(names, name)
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			failed++
-			fmt.Fprintf(out, "FAIL %s: baselined in %s but absent from the benchmark run\n", name, base[name].file)
-		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		failed++
+		fmt.Fprintf(out, "FAIL %s: baselined in %s but absent from the benchmark run\n", name, base[name].file)
 	}
 	if failed > 0 {
 		return 1
@@ -213,7 +211,6 @@ func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold f
 func main() {
 	glob := flag.String("baselines", "BENCH_*.json", "glob of committed baseline files")
 	threshold := flag.Float64("threshold", 1.25, "fail when measured allocs/op exceed baseline by this factor")
-	allowMissing := flag.Bool("allow-missing", false, "do not fail when a baselined benchmark is absent from the input (for subset runs)")
 	flag.Parse()
 
 	in := os.Stdin
@@ -232,5 +229,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(1)
 	}
-	os.Exit(check(in, os.Stdout, os.Stderr, base, *threshold, *allowMissing))
+	os.Exit(check(in, os.Stdout, os.Stderr, base, *threshold))
 }

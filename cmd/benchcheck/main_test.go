@@ -23,9 +23,9 @@ func baselines(t *testing.T, files map[string]string) map[string]entry {
 	return base
 }
 
-func runCheck(base map[string]entry, input string, allowMissing bool) (code int, out string) {
+func runCheck(base map[string]entry, input string) (code int, out string) {
 	var buf, errs bytes.Buffer
-	code = check(strings.NewReader(input), &buf, &errs, base, 1.25, allowMissing)
+	code = check(strings.NewReader(input), &buf, &errs, base, 1.25)
 	return code, buf.String() + errs.String()
 }
 
@@ -44,7 +44,7 @@ func TestWithinBudgetPasses(t *testing.T) {
 	base := baselines(t, map[string]string{
 		"BENCH_pr1.json": `{"benchmarks":[{"name":"BenchmarkDrive","after":{"allocs_per_op":40}}]}`,
 	})
-	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  2048 B/op  42 allocs/op\n", false)
+	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  2048 B/op  42 allocs/op\n")
 	if code != 0 || !strings.Contains(out, "ok   BenchmarkDrive") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
@@ -54,7 +54,7 @@ func TestRegressionFails(t *testing.T) {
 	base := baselines(t, map[string]string{
 		"BENCH_pr1.json": `{"benchmarks":[{"name":"BenchmarkDrive","after":{"allocs_per_op":40}}]}`,
 	})
-	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  99 allocs/op\n", false)
+	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  99 allocs/op\n")
 	if code != 1 || !strings.Contains(out, "FAIL BenchmarkDrive: 99 allocs/op exceeds 50") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
@@ -69,19 +69,13 @@ func TestMissingBenchmarkNamed(t *testing.T) {
 			{"name":"BenchmarkDrive","after":{"allocs_per_op":40}},
 			{"name":"BenchmarkGone","after":{"allocs_per_op":7}}]}`,
 	})
-	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  40 allocs/op\n", false)
+	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  40 allocs/op\n")
 	if code != 1 {
 		t.Fatalf("missing benchmark passed; out:\n%s", out)
 	}
 	if !strings.Contains(out, "FAIL BenchmarkGone: baselined in") ||
 		!strings.Contains(out, "BENCH_pr1.json but absent from the benchmark run") {
 		t.Fatalf("failure does not name the missing benchmark:\n%s", out)
-	}
-
-	// -allow-missing waives exactly that failure for subset runs.
-	code, out = runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  40 allocs/op\n", true)
-	if code != 0 {
-		t.Fatalf("allow-missing still failed:\n%s", out)
 	}
 }
 
@@ -92,7 +86,7 @@ func TestUnreadableAllocsFails(t *testing.T) {
 	base := baselines(t, map[string]string{
 		"BENCH_pr1.json": `{"benchmarks":[{"name":"BenchmarkDrive","after":{"allocs_per_op":40}}]}`,
 	})
-	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  1.2.3 allocs/op\n", false)
+	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  1.2.3 allocs/op\n")
 	if code != 1 || !strings.Contains(out, `FAIL BenchmarkDrive: unreadable allocs/op "1.2.3"`) {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
@@ -111,14 +105,14 @@ func bytesBase(t *testing.T) map[string]entry {
 }
 
 func TestBytesWithinBudgetPasses(t *testing.T) {
-	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  2100 B/op  40 allocs/op\n", false)
+	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  2100 B/op  40 allocs/op\n")
 	if code != 0 || !strings.Contains(out, "ok   BenchmarkDrive: 2100 B/op (baseline 2048, limit 2560)") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
 }
 
 func TestBytesRegressionFails(t *testing.T) {
-	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  4096 B/op  40 allocs/op\n", false)
+	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  4096 B/op  40 allocs/op\n")
 	if code != 1 || !strings.Contains(out, "FAIL BenchmarkDrive: 4096 B/op exceeds 2560") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
@@ -127,11 +121,11 @@ func TestBytesRegressionFails(t *testing.T) {
 // A baseline that gates bytes must not let the check drop out when the
 // benchmark line omits or garbles the B/op column.
 func TestBytesMissingOrUnreadableFails(t *testing.T) {
-	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  40 allocs/op\n", false)
+	code, out := runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  40 allocs/op\n")
 	if code != 1 || !strings.Contains(out, "FAIL BenchmarkDrive: baseline gates bytes_per_op but the benchmark line has no B/op column") {
 		t.Fatalf("missing column: code = %d, out:\n%s", code, out)
 	}
-	code, out = runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  1.2.3 B/op  40 allocs/op\n", false)
+	code, out = runCheck(bytesBase(t), "BenchmarkDrive-8  100  12345 ns/op  1.2.3 B/op  40 allocs/op\n")
 	if code != 1 || !strings.Contains(out, `FAIL BenchmarkDrive: unreadable B/op "1.2.3"`) {
 		t.Fatalf("unreadable column: code = %d, out:\n%s", code, out)
 	}
@@ -143,7 +137,7 @@ func TestBytesUngatedWithoutBaseline(t *testing.T) {
 	base := baselines(t, map[string]string{
 		"BENCH_pr1.json": `{"benchmarks":[{"name":"BenchmarkDrive","after":{"allocs_per_op":40}}]}`,
 	})
-	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  999999 B/op  40 allocs/op\n", false)
+	code, out := runCheck(base, "BenchmarkDrive-8  100  12345 ns/op  999999 B/op  40 allocs/op\n")
 	if code != 0 || strings.Contains(out, "B/op (baseline") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}
@@ -153,7 +147,7 @@ func TestNoGatedBenchmarksFails(t *testing.T) {
 	base := baselines(t, map[string]string{
 		"BENCH_pr1.json": `{"benchmarks":[{"name":"BenchmarkDrive","after":{"allocs_per_op":40}}]}`,
 	})
-	code, out := runCheck(base, "PASS\nok  fm  0.5s\n", false)
+	code, out := runCheck(base, "PASS\nok  fm  0.5s\n")
 	if code != 1 || !strings.Contains(out, "no benchmark with a committed baseline") {
 		t.Fatalf("code = %d, out:\n%s", code, out)
 	}

@@ -15,7 +15,7 @@
 //
 // Start with README.md for orientation: the package map, the experiment
 // index, and how to run the examples; DESIGN.md walks the architecture
-// and EXPERIMENTS.md catalogs the fmbench experiments. The benchmarks
-// in bench_test.go regenerate one representative point per paper
-// artifact; cmd/fmbench regenerates the complete figures and tables.
+// and EXPERIMENTS.md catalogs the fmbench experiments. cmd/fmbench
+// regenerates the figures and tables; the benchmarks in bench_test.go
+// measure the simulator's own hot paths.
 package fm

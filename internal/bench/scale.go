@@ -23,10 +23,9 @@ import (
 // the headroom for 2048 and 4096 — the 4096-node FM point pushes
 // ~16.8 million full-stack messages. The sharded engine (-shards,
 // DESIGN.md "Parallel engine") splits each simulation across shard
-// kernels, one leaf group block per shard, putting points past 4096 in
-// reach on multi-core hosts. Trim a run with -scale-nodes, and use
-// -timing to see where the wall-clock goes (with -shards > 1 it adds a
-// per-shard breakdown).
+// kernels, one leaf group block per shard. Trim a run with
+// -scale-nodes, and use -timing to see where the wall-clock goes (with
+// -shards > 1 it adds a per-shard breakdown of every leg).
 //
 // The experiment is in the extended registry, not `-experiment all`:
 // its FM points simulate tens of millions of full-stack messages and
@@ -133,31 +132,31 @@ func Scale(opt Options) *Report {
 
 	type rawRes struct {
 		bw, hops float64
+		shards   []sim.ShardStats
 	}
 	type fmRes struct {
 		bw      float64
 		elapsed sim.Duration
+		shards  []sim.ShardStats
 	}
 	a2a := make([]rawRes, len(nodes))
 	bis := make([]rawRes, len(nodes))
 	fm := make([]fmRes, len(nodes))
-	fmShards := make([][]sim.ShardStats, len(nodes))
 	var jobs []func()
 	for i, n := range nodes {
 		i, n := i, n
 		jobs = append(jobs,
 			func() {
 				res := workload.DriveRawSharded(scaleSpec(n), p, pat, size, opt.Shards)
-				a2a[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), hops: res.MeanHops}
+				a2a[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), hops: res.MeanHops, shards: res.Shards}
 			},
 			func() {
 				res := workload.DriveRawSharded(scaleSpec(n), p, workload.Bisection{Packets: 32}, size, opt.Shards)
-				bis[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed)}
+				bis[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), shards: res.Shards}
 			},
 			func() {
 				res := workload.DriveFMSharded(scaleSpec(n), core.DefaultConfig(), p, pat, size, opt.Shards)
-				fm[i] = fmRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), elapsed: res.Elapsed}
-				fmShards[i] = res.Shards
+				fm[i] = fmRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), elapsed: res.Elapsed, shards: res.Shards}
 			},
 		)
 	}
@@ -192,16 +191,24 @@ func Scale(opt Options) *Report {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"sharded run: every simulation split across %d shard kernels (one leaf-group block per shard, lookahead = switch latency); deterministic, but contention may resolve in a different order than one kernel (DESIGN.md)", opt.Shards))
 		if opt.ShardTiming {
-			for i, n := range nodes {
-				line := fmt.Sprintf("shard timing N=%d FM %s:", n, pname)
-				for s, st := range fmShards[i] {
+			timing := func(n int, leg string, shards []sim.ShardStats) {
+				line := fmt.Sprintf("shard timing N=%d %s:", n, leg)
+				var posts, events uint64
+				for s, st := range shards {
 					line += fmt.Sprintf("  s%d %.2gMev/%dw/%s", s,
 						float64(st.Events)/1e6, st.Windows, st.Busy.Round(time.Millisecond))
+					posts += st.Posted
+					events += st.Events
 				}
-				r.Notes = append(r.Notes, line)
+				r.Notes = append(r.Notes, line+fmt.Sprintf("  cross-shard posts %d/%d events", posts, events))
+			}
+			for i, n := range nodes {
+				timing(n, "raw "+pname, a2a[i].shards)
+				timing(n, "raw bisection", bis[i].shards)
+				timing(n, "FM "+pname, fm[i].shards)
 			}
 			r.Notes = append(r.Notes,
-				"shard timing legend: events executed (millions) / barrier windows with work / wall-clock busy in the shard's kernel")
+				"shard timing legend: per shard, events executed (millions) / barrier windows with work / wall-clock busy in the shard's kernel; then the leg's cross-shard posts over the events its shards ran")
 		}
 	}
 	return r

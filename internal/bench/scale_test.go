@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -73,5 +75,52 @@ func TestScalePatternDefaultIsAllToAll(t *testing.T) {
 	}
 	if got := pat.Gen(0, 4); len(got) != 3 {
 		t.Fatalf("Gen(0,4) = %v, want 3 sends", got)
+	}
+}
+
+// TestScaleSharded pins the sharded scale experiment's invariants: the
+// report is identical at any worker count and across repeated runs, it
+// says it ran sharded, and -timing's per-shard breakdown appears only
+// when asked for.
+func TestScaleSharded(t *testing.T) {
+	opt := DefaultOptions()
+	opt.ScaleNodes = []int{16, 32}
+	opt.Shards = 2
+	render := func(workers int) string {
+		opt.Workers = workers
+		var buf bytes.Buffer
+		Scale(opt).WriteText(&buf)
+		return buf.String()
+	}
+	serial := render(1)
+	if parallel := render(6); parallel != serial {
+		t.Fatalf("sharded scale output depends on worker count:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
+	}
+	if again := render(1); again != serial {
+		t.Fatal("sharded scale output not reproducible across runs")
+	}
+	if !strings.Contains(serial, "sharded run: every simulation split across 2 shard kernels") {
+		t.Fatalf("sharded report missing the shard note:\n%s", serial)
+	}
+	if strings.Contains(serial, "shard timing") {
+		t.Fatalf("per-shard timing printed without ShardTiming:\n%s", serial)
+	}
+
+	opt.ShardTiming = true
+	timed := render(1)
+	for _, n := range []int{16, 32} {
+		for _, leg := range []string{"raw all-to-all", "raw bisection", "FM all-to-all"} {
+			if want := fmt.Sprintf("shard timing N=%d %s:", n, leg); !strings.Contains(timed, want) {
+				t.Fatalf("ShardTiming report missing %q:\n%s", want, timed)
+			}
+		}
+	}
+	// The breakdown names the FM leg's pattern, whichever it is.
+	opt.ScalePattern = "neighbor"
+	timed = render(1)
+	if !strings.Contains(timed, "shard timing N=16 FM neighbor:") ||
+		!strings.Contains(timed, "shard timing N=32 FM neighbor:") {
+		t.Fatalf("neighbor ShardTiming report mislabels the FM leg:\n%s", timed)
 	}
 }

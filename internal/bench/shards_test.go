@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -63,49 +62,5 @@ func TestShardSupport(t *testing.T) {
 	check("patterns", opt, 1, "neither partitions")
 	for _, id := range []string{"fig3", "fig4", "fig7", "fig8", "fig9", "table4", "headline", "ablations", "mpi"} {
 		check(id, opt, 1, "it runs every simulation on one kernel")
-	}
-}
-
-// TestScaleSharded pins the sharded scale experiment's invariants: the
-// report is identical at any worker count and across repeated runs, it
-// says it ran sharded, and -timing's per-shard breakdown appears only
-// when asked for.
-func TestScaleSharded(t *testing.T) {
-	opt := DefaultOptions()
-	opt.ScaleNodes = []int{16, 32}
-	opt.Shards = 2
-	render := func(workers int) string {
-		opt.Workers = workers
-		var buf bytes.Buffer
-		Scale(opt).WriteText(&buf)
-		return buf.String()
-	}
-	serial := render(1)
-	if parallel := render(6); parallel != serial {
-		t.Fatalf("sharded scale output depends on worker count:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-	if again := render(1); again != serial {
-		t.Fatal("sharded scale output not reproducible across runs")
-	}
-	if !strings.Contains(serial, "sharded run: every simulation split across 2 shard kernels") {
-		t.Fatalf("sharded report missing the shard note:\n%s", serial)
-	}
-	if strings.Contains(serial, "shard timing") {
-		t.Fatalf("per-shard timing printed without ShardTiming:\n%s", serial)
-	}
-
-	opt.ShardTiming = true
-	timed := render(1)
-	if !strings.Contains(timed, "shard timing N=16 FM all-to-all:") ||
-		!strings.Contains(timed, "shard timing N=32 FM all-to-all:") {
-		t.Fatalf("ShardTiming report missing per-shard breakdown:\n%s", timed)
-	}
-	// The breakdown names the FM leg's pattern, whichever it is.
-	opt.ScalePattern = "neighbor"
-	timed = render(1)
-	if !strings.Contains(timed, "shard timing N=16 FM neighbor:") ||
-		!strings.Contains(timed, "shard timing N=32 FM neighbor:") {
-		t.Fatalf("neighbor ShardTiming report mislabels the FM leg:\n%s", timed)
 	}
 }

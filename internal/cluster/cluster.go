@@ -209,13 +209,3 @@ func (c *FM) Start(id int, app func(ep *core.Endpoint)) {
 
 // Run executes the simulation to quiescence.
 func (c *Hardware) Run() error { return c.Group.Run() }
-
-// RunFor executes the simulation up to the given virtual time horizon.
-// Only a one-shard machine can stop at a horizon: the shard group runs
-// to quiescence, so RunFor on a sharded machine is an error.
-func (c *Hardware) RunFor(d sim.Duration) error {
-	if n := c.Group.Shards(); n > 1 {
-		return fmt.Errorf("cluster: RunFor needs a one-shard machine, this one runs on %d shards", n)
-	}
-	return c.K.Run(sim.Time(d))
-}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -224,43 +223,5 @@ func TestClosScenarioDeterminism(t *testing.T) {
 	}
 	if a != pinned {
 		t.Errorf("EventsRun = %d, pinned %d (update only for intentional changes)", a, pinned)
-	}
-}
-
-func TestRunForHorizon(t *testing.T) {
-	c := NewFM(2, core.DefaultConfig(), cost.Default())
-	c.Start(0, func(ep *core.Endpoint) {
-		for i := 0; ; i++ {
-			ep.CPU().Advance(10 * sim.Microsecond)
-		}
-	})
-	if err := c.RunFor(sim.Us(100)); err != nil {
-		t.Fatal(err)
-	}
-	if c.K.Now() > sim.Time(sim.Us(100)) {
-		t.Errorf("clock ran past the horizon: %v", c.K.Now())
-	}
-}
-
-// TestRunForRejectsShardedCluster: a shard group runs to quiescence, so
-// a horizon run on a multi-shard cluster must fail by name instead of
-// advancing shard 0 alone.
-func TestRunForRejectsShardedCluster(t *testing.T) {
-	p := cost.Default()
-	c, err := NewFMShardedFrom(func(k *sim.Kernel, p *cost.Params) *myrinet.Fabric {
-		return myrinet.NewClos(k, p, 2, 2, 2, 4)
-	}, core.DefaultConfig(), p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = c.RunFor(sim.Us(100))
-	if err == nil || !strings.Contains(err.Error(), "2 shards") {
-		t.Fatalf("RunFor on a 2-shard cluster = %v, want an error naming 2 shards", err)
-	}
-	if c.K.Now() != 0 {
-		t.Fatalf("rejected RunFor advanced shard 0 to %v", c.K.Now())
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,14 +76,9 @@ type Endpoint struct {
 	stats Stats
 }
 
-// New creates the endpoint for one node. The caller starts the matching
-// control program with lcp.Start(dev, cfg.LCPOptions(p)).
-func New(cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint {
-	return NewAt(new(Endpoint), cpu, dev, cfg, p)
-}
-
-// NewAt is New in caller-provided storage (the cluster layer's per-node
-// stack slice).
+// NewAt creates the endpoint for one node in caller-provided storage
+// (the cluster layer's per-node stack slice). The caller starts the
+// matching control program with lcp.StartAt(l, dev, cfg.LCPOptions(p)).
 func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint {
 	*ep = Endpoint{
 		cpu:         cpu,

@@ -162,7 +162,7 @@ func TestDuplicateDeliveryScreened(t *testing.T) {
 	// Forge a second copy of the first message (seq 1) from node 0 well after the original
 	// has been delivered and acknowledged.
 	fab := c.Fab
-	fab.Kernel().AtArg(sim.Time(200*sim.Microsecond), func(any) {
+	c.K.AtArg(sim.Time(200*sim.Microsecond), func(any) {
 		pkt := fab.NewPacket()
 		pkt.Src, pkt.Dst = 0, 1
 		pkt.Type = myrinet.Retransmit

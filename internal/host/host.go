@@ -28,14 +28,9 @@ type CPU struct {
 	proc *sim.Proc
 }
 
-// New creates a CPU for node id on the given bus.
-func New(k *sim.Kernel, p *cost.Params, bus *sbus.Bus, id int) *CPU {
-	return NewAt(new(CPU), k, p, bus, id)
-}
-
-// NewAt initializes a CPU in caller-provided storage and returns it —
-// the in-place form New wraps, used by the cluster layer's per-node
-// stack slice.
+// NewAt initializes a CPU for node id on the given bus in
+// caller-provided storage and returns it (the cluster layer's per-node
+// stack slice).
 func NewAt(c *CPU, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, id int) *CPU {
 	*c = CPU{ID: id, K: k, P: p, Bus: bus}
 	return c

@@ -12,7 +12,7 @@ func newCPU() (*sim.Kernel, *CPU) {
 	k := sim.NewKernel()
 	p := cost.Default()
 	b := sbus.New(k, p, "bus")
-	return k, New(k, p, b, 0)
+	return k, NewAt(new(CPU), k, p, b, 0)
 }
 
 func TestAdvanceChargesTime(t *testing.T) {

@@ -120,28 +120,6 @@ func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 	return decodeFloats(c.Bcast(0, wire))
 }
 
-// Alltoall performs the personalized exchange: member i's data[j]
-// arrives as member j's result[i]. Sends are staggered so the fabric
-// sees a rotating permutation rather than N-1 senders converging on one
-// port at once.
-func (c *Comm) Alltoall(data [][]byte) [][]byte {
-	if len(data) != c.size() {
-		panic("mpi: Alltoall needs one buffer per member")
-	}
-	tag := c.collTag()
-	me, n := c.rank, c.size()
-	out := make([][]byte, n)
-	out[me] = append([]byte(nil), data[me]...)
-	for step := 1; step < n; step++ {
-		c.isend((me+step)%n, tag, data[(me+step)%n])
-	}
-	for step := 1; step < n; step++ {
-		src := (me - step + n) % n
-		out[src] = c.recvColl(src, tag)
-	}
-	return out
-}
-
 // --- Split support: small int-vector gather/bcast on internal tags ---
 
 // gatherInts collects every member's vector at root (indexed by rank;

@@ -5,19 +5,19 @@ import (
 	"slices"
 	"testing"
 
+	"fm/internal/core"
 	"fm/internal/mpi"
 	"fm/internal/sim"
 )
 
 // The collectives case by case: barrier synchronisation, broadcast,
-// reduce, allreduce, all-to-all, and collectives back to back.
+// reduce, allreduce, and collectives back to back.
 
 func TestBarrierSynchronizes(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		entered := make([]sim.Time, n)
 		exited := make([]sim.Time, n)
-		run(t, n, func(rank int, c *mpi.Comm) {
-			ep := c.Endpoint()
+		runEP(t, n, func(rank int, ep *core.Endpoint, c *mpi.Comm) {
 			// Skew the entries so the barrier has real work to do.
 			ep.CPU().Advance(sim.Duration(rank) * 40 * sim.Microsecond)
 			entered[rank] = ep.Now()
@@ -171,26 +171,6 @@ func TestAllreduceLargeVector(t *testing.T) {
 	for r, got := range results {
 		if !slices.Equal(got, want) {
 			t.Fatalf("rank %d: allreduce = %v, want %v", r, got, want)
-		}
-	}
-}
-
-func TestAllToAll(t *testing.T) {
-	const n = 4
-	results := make([][][]byte, n)
-	run(t, n, func(rank int, c *mpi.Comm) {
-		data := make([][]byte, n)
-		for j := 0; j < n; j++ {
-			data[j] = []byte{byte(rank), byte(j)}
-		}
-		results[rank] = c.Alltoall(data)
-	})
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			want := []byte{byte(i), byte(j)}
-			if !bytes.Equal(results[j][i], want) {
-				t.Errorf("result[%d][%d] = %v, want %v", j, i, results[j][i], want)
-			}
 		}
 	}
 }

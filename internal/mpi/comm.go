@@ -122,13 +122,6 @@ func newComm(eng *Engine, ctx uint32, nodes []int) *Comm {
 // Rank returns this member's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
-// Endpoint exposes the underlying FM endpoint (virtual clock, CPU cost
-// accounting, protocol statistics).
-func (c *Comm) Endpoint() *core.Endpoint { return c.eng.ep }
-
-// Size returns the communicator's group size.
-func (c *Comm) Size() int { return c.size() }
-
 func (c *Comm) size() int { return len(c.nodes) }
 
 // node translates a rank in this communicator to a world node id.

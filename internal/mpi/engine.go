@@ -12,8 +12,8 @@
 //     Split carves disjoint sub-groups whose ranks are renumbered.
 //   - Blocking Send/Recv and nonblocking Isend/Irecv with Wait;
 //     receives may use AnySource and AnyTag wildcards.
-//   - Collectives (Barrier, Bcast, Reduce, Allreduce, Alltoall) built
-//     on the matching engine itself.
+//   - Collectives (Barrier, Bcast, Reduce, Allreduce) built on the
+//     matching engine itself.
 //
 // Messages of any size are segmented into FM frames and reassembled;
 // because FM's return-to-sender flow control may reorder frames, the

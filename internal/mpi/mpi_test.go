@@ -21,11 +21,18 @@ const handler = 0
 // quiescence.
 func run(t *testing.T, n int, app func(rank int, c *mpi.Comm)) {
 	t.Helper()
+	runEP(t, n, func(rank int, _ *core.Endpoint, c *mpi.Comm) { app(rank, c) })
+}
+
+// runEP is run with each node's FM endpoint passed along, for apps that
+// read the virtual clock or charge CPU time.
+func runEP(t *testing.T, n int, app func(rank int, ep *core.Endpoint, c *mpi.Comm)) {
+	t.Helper()
 	cl := cluster.NewFM(n, core.DefaultConfig(), cost.Default())
 	for id := 0; id < n; id++ {
 		id := id
 		cl.Start(id, func(ep *core.Endpoint) {
-			app(id, mpi.NewWorld(ep, n, handler))
+			app(id, ep, mpi.NewWorld(ep, n, handler))
 		})
 	}
 	if err := cl.Run(); err != nil {
@@ -36,7 +43,7 @@ func run(t *testing.T, n int, app func(rank int, c *mpi.Comm)) {
 // Unexpected messages arriving before the receive is posted must queue
 // and match later, in any tag order the receiver asks for.
 func TestUnexpectedBeforePost(t *testing.T) {
-	run(t, 2, func(rank int, c *mpi.Comm) {
+	runEP(t, 2, func(rank int, ep *core.Endpoint, c *mpi.Comm) {
 		switch rank {
 		case 0:
 			for tag := 1; tag <= 3; tag++ {
@@ -44,7 +51,7 @@ func TestUnexpectedBeforePost(t *testing.T) {
 			}
 		case 1:
 			// Let all three arrive unexpected before any post.
-			c.Endpoint().CPU().Advance(2 * sim.Millisecond)
+			ep.CPU().Advance(2 * sim.Millisecond)
 			for _, tag := range []int{2, 3, 1} { // out of arrival order
 				data, st := c.Recv(0, tag)
 				if want := fmt.Sprintf("msg-%d", tag); string(data) != want {
@@ -61,12 +68,12 @@ func TestUnexpectedBeforePost(t *testing.T) {
 // AnySource and AnyTag wildcards match any application message and
 // report the actual envelope in the status.
 func TestWildcards(t *testing.T) {
-	run(t, 3, func(rank int, c *mpi.Comm) {
+	runEP(t, 3, func(rank int, ep *core.Endpoint, c *mpi.Comm) {
 		switch rank {
 		case 1:
 			c.Send(0, 7, []byte("from-1"))
 		case 2:
-			c.Endpoint().CPU().Advance(1 * sim.Millisecond)
+			ep.CPU().Advance(1 * sim.Millisecond)
 			c.Send(0, 9, []byte("from-2"))
 		case 0:
 			data, st := c.Recv(mpi.AnySource, mpi.AnyTag)
@@ -112,11 +119,11 @@ func TestWildcardSkipsInternalTags(t *testing.T) {
 // Nonblocking receives complete in message-arrival order, not post
 // order.
 func TestOutOfOrderCompletion(t *testing.T) {
-	run(t, 2, func(rank int, c *mpi.Comm) {
+	runEP(t, 2, func(rank int, ep *core.Endpoint, c *mpi.Comm) {
 		switch rank {
 		case 0:
 			c.Send(1, 8, []byte("late-post-tag"))
-			c.Endpoint().CPU().Advance(5 * sim.Millisecond)
+			ep.CPU().Advance(5 * sim.Millisecond)
 			c.Send(1, 7, []byte("early-post-tag"))
 		case 1:
 			r7 := c.Irecv(0, 7)
@@ -217,18 +224,6 @@ func TestCollectives(t *testing.T) {
 		if want := float64((n - 1) * (n - 1)); all[0] != want {
 			t.Errorf("rank %d allreduce: got %v want %v", rank, all[0], want)
 		}
-
-		// Alltoall personalized exchange.
-		out := make([][]byte, n)
-		for j := range out {
-			out[j] = []byte{byte(rank), byte(j)}
-		}
-		in := c.Alltoall(out)
-		for j := range in {
-			if in[j][0] != byte(j) || in[j][1] != byte(rank) {
-				t.Errorf("rank %d alltoall from %d: %v", rank, j, in[j])
-			}
-		}
 	})
 }
 
@@ -238,8 +233,8 @@ func TestSplit(t *testing.T) {
 	const n = 8
 	run(t, n, func(rank int, c *mpi.Comm) {
 		sub := c.Split(rank%2, -rank) // negative key reverses rank order
-		if sub.Size() != n/2 {
-			t.Errorf("rank %d: sub size %d", rank, sub.Size())
+		if size := sub.Allreduce([]float64{1}, mpi.Sum)[0]; size != n/2 {
+			t.Errorf("rank %d: sub size %v", rank, size)
 		}
 		// key = -rank sorts descending by world rank: even group
 		// {6,4,2,0} -> sub ranks 0..3, odd group {7,5,3,1} likewise.
@@ -260,9 +255,9 @@ func TestSplit(t *testing.T) {
 
 		// Point-to-point on the subcomm stays inside it.
 		if sub.Rank() == 0 {
-			sub.Send(sub.Size()-1, 1, []byte{byte(rank % 2)})
+			sub.Send(n/2-1, 1, []byte{byte(rank % 2)})
 		}
-		if sub.Rank() == sub.Size()-1 {
+		if sub.Rank() == n/2-1 {
 			data, st := sub.Recv(0, 1)
 			if data[0] != byte(rank%2) || st.Source != 0 {
 				t.Errorf("rank %d subcomm recv: %v %+v", rank, data, st)

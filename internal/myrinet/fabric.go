@@ -247,9 +247,6 @@ func NewLine(k *sim.Kernel, p *cost.Params, nSwitches, nodesPerSwitch, ports int
 // Nodes returns the number of node ports.
 func (f *Fabric) Nodes() int { return len(f.sinks) }
 
-// Kernel returns the kernel this fabric schedules on.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
 // Hops returns the number of switch crossings between src and dst.
 func (f *Fabric) Hops(src, dst int) int {
 	if src == dst {
@@ -263,20 +260,6 @@ func (f *Fabric) NumSwitches() int { return len(f.switches) }
 
 // SwitchAt returns switch i, in topology declaration order.
 func (f *Fabric) SwitchAt(i int) *Switch { return f.switches[i] }
-
-// Route returns the switches a packet from src to dst crosses, in order.
-// The final entry is the destination's delivery switch.
-func (f *Fabric) Route(src, dst int) []*Switch {
-	if src == dst {
-		return nil
-	}
-	route := f.router.route(src, dst)
-	out := make([]*Switch, len(route))
-	for i, h := range route {
-		out[i] = f.switches[h.sw]
-	}
-	return out
-}
 
 // Topology returns the fabric's topology description. Sharded runs use
 // it to compute the partition once and apply it to every replica (the

@@ -166,16 +166,6 @@ func TestFabricStats(t *testing.T) {
 	}
 }
 
-func TestSeqRange(t *testing.T) {
-	r := SeqRange{Lo: 5, Hi: 9}
-	if !r.Contains(5) || !r.Contains(9) || r.Contains(4) || r.Contains(10) {
-		t.Error("Contains wrong")
-	}
-	if r.Count() != 5 {
-		t.Errorf("Count = %d", r.Count())
-	}
-}
-
 func TestPacketTypeStrings(t *testing.T) {
 	for ty, want := range map[PacketType]string{
 		Data: "DATA", Ack: "ACK", Reject: "REJECT", Retransmit: "RETX", APIMessage: "API",

@@ -167,19 +167,8 @@ func (s *FaultStats) Merge(o FaultStats) {
 	s.Stranded += o.Stranded
 }
 
-// Total returns the number of outage/burst windows that began.
-func (s FaultStats) Downs() uint64 {
-	return s.LinkDowns + s.SwitchDowns + s.NodeDowns
-}
-
 // NumLinks returns the number of directed inter-switch links.
 func (t *Topology) NumLinks() int { return len(t.links) }
-
-// LinkEnds returns the switch indices link i joins (from -> to).
-func (t *Topology) LinkEnds(i int) (from, to int) {
-	l := t.links[i]
-	return l.from, l.to
-}
 
 // HostsNodes reports whether switch sw has nodes attached (a leaf).
 func (t *Topology) HostsNodes(sw int) bool { return t.hostsNodes(sw) }

@@ -70,7 +70,7 @@ func win(kind FaultKind, index int, startUs, endUs int64) FaultWindow {
 func linkBetween(t *testing.T, topo *Topology, a, b int) int {
 	t.Helper()
 	for i := 0; i < topo.NumLinks(); i++ {
-		if from, to := topo.LinkEnds(i); from == a && to == b {
+		if l := topo.links[i]; l.from == a && l.to == b {
 			return i
 		}
 	}
@@ -271,8 +271,8 @@ func FuzzPartition(f *testing.F) {
 		topo := NewClos(sim.NewKernel(), p, ns, nl, nn, ports).Topology()
 
 		// Partition never panics, for counts below, at, and past the bound.
-		for s := 1; s <= topo.MaxShards()+2; s++ {
-			if _, err := topo.Partition(s); err != nil && s <= topo.MaxShards() {
+		for s := 1; s <= topo.LeafGroups()+2; s++ {
+			if _, err := topo.Partition(s); err != nil && s <= topo.LeafGroups() {
 				t.Fatalf("Partition(%d) on %d leaf groups: %v", s, topo.LeafGroups(), err)
 			}
 		}

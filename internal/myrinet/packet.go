@@ -55,12 +55,6 @@ type SeqRange struct {
 	Lo, Hi uint64
 }
 
-// Contains reports whether s falls inside the range.
-func (r SeqRange) Contains(s uint64) bool { return s >= r.Lo && s <= r.Hi }
-
-// Count returns the number of sequence numbers covered.
-func (r SeqRange) Count() uint64 { return r.Hi - r.Lo + 1 }
-
 // Packet is one Myrinet frame. The simulation moves real payload bytes so
 // higher layers can be verified end to end; the header fields are carried
 // as struct members and charged on the wire via HeaderBytes.

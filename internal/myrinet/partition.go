@@ -48,15 +48,6 @@ func (t *Topology) hostsNodes(sw int) bool {
 	return false
 }
 
-// MaxShards returns the largest shard count t supports: its leaf-group
-// count when the fabric is two-level partitionable, otherwise 1.
-func (t *Topology) MaxShards() int {
-	if t.partitionable() != nil {
-		return 1
-	}
-	return t.LeafGroups()
-}
-
 // partitionable reports whether the fabric has the strict two-level
 // leaf/spine shape sharding requires: every switch either hosts nodes
 // (leaf) or hosts none (spine), and every link joins a leaf to a spine.

@@ -18,8 +18,11 @@ func TestPartitionClosAssignment(t *testing.T) {
 	if got := topo.LeafGroups(); got != 8 {
 		t.Fatalf("LeafGroups = %d, want 8", got)
 	}
-	if got := topo.MaxShards(); got != 8 {
-		t.Fatalf("MaxShards = %d, want 8", got)
+	if _, err := topo.Partition(8); err != nil {
+		t.Fatalf("Partition(8) on 8 leaf groups: %v", err)
+	}
+	if _, err := topo.Partition(9); err == nil || !strings.Contains(err.Error(), "supports 1..8") {
+		t.Fatalf("Partition(9) on 8 leaf groups error = %v, want the supported range", err)
 	}
 	part, err := topo.Partition(4)
 	if err != nil {
@@ -58,18 +61,12 @@ func TestPartitionRejectsUnsupportedShapes(t *testing.T) {
 
 	// Crossbar: one leaf group, so only 1 shard.
 	xbar := NewCrossbar(sim.NewKernel(), p, 8, 8).Topology()
-	if got := xbar.MaxShards(); got != 1 {
-		t.Fatalf("crossbar MaxShards = %d, want 1", got)
-	}
 	if _, err := xbar.Partition(2); err == nil || !strings.Contains(err.Error(), "leaf group") {
 		t.Fatalf("crossbar Partition(2) error = %v, want a leaf-group bound", err)
 	}
 
 	// Line: leaf-to-leaf trunks, not two-level.
 	line := NewLine(sim.NewKernel(), p, 4, 2, 4).Topology()
-	if got := line.MaxShards(); got != 1 {
-		t.Fatalf("line MaxShards = %d, want 1", got)
-	}
 	if _, err := line.Partition(2); err == nil || !strings.Contains(err.Error(), "node-hosting") {
 		t.Fatalf("line Partition(2) error = %v, want the two-level explanation", err)
 	}
@@ -129,9 +126,9 @@ func runShardedClos(t *testing.T, shards int, injs []injection) []delivery {
 	got := make([][]delivery, shards)
 	for id := 0; id < 32; id++ {
 		s := part.NodeShard[id]
-		f := fabs[s]
+		f, k := fabs[s], g.Shard(s).Kernel()
 		f.Attach(id, SinkFunc(func(pkt *Packet) {
-			got[s] = append(got[s], delivery{src: pkt.Src, dst: pkt.Dst, at: f.Kernel().Now()})
+			got[s] = append(got[s], delivery{src: pkt.Src, dst: pkt.Dst, at: k.Now()})
 			f.Release(pkt)
 		}))
 	}

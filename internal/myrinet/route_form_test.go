@@ -172,7 +172,7 @@ func TestFormRouteFaultToggleEquivalence(t *testing.T) {
 		for s := range fabs {
 			f := fabs[s]
 			f.ApplyFaults(ws)
-			k := f.Kernel()
+			k := f.k
 			for _, pr := range probes {
 				pr := pr
 				k.AtArg(pr.at, func(any) {

@@ -50,6 +50,12 @@ func TestClosDeliveryTimingMatchesMinLatency(t *testing.T) {
 	}
 }
 
+// spineOf returns the middle switch of a three-hop Clos route: the
+// spine a packet from src to dst crosses.
+func spineOf(f *Fabric, src, dst int) *Switch {
+	return f.switches[f.router.route(src, dst)[1].sw]
+}
+
 // Spine selection is destination-deterministic: two destinations on the
 // same remote leaf ride different spines, and rebuilding the fabric
 // yields identical routes.
@@ -59,13 +65,13 @@ func TestClosSpineSpreadingDeterministic(t *testing.T) {
 		return NewClos(k, cost.Default(), 2, 2, 2, 8), k
 	}
 	f, _ := build()
-	s2 := f.Route(0, 2)[1] // middle hop = spine
-	s3 := f.Route(0, 3)[1]
+	s2 := spineOf(f, 0, 2)
+	s3 := spineOf(f, 0, 3)
 	if s2 == s3 {
 		t.Errorf("destinations 2 and 3 both routed via the same spine")
 	}
 	f2, _ := build()
-	if f2.Route(0, 2)[1].name != s2.name || f2.Route(0, 3)[1].name != s3.name {
+	if spineOf(f2, 0, 2).name != s2.name || spineOf(f2, 0, 3).name != s3.name {
 		t.Error("spine selection differs across identical constructions")
 	}
 }
@@ -179,7 +185,7 @@ func TestClos64NodeFullyRouted(t *testing.T) {
 				t.Fatalf("Hops(%d,%d) = %d, want %d", s, d, got, want)
 			}
 			if want == 3 {
-				spines[f.Route(s, d)[1]] = true
+				spines[spineOf(f, s, d)] = true
 			}
 		}
 	}

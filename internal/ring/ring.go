@@ -29,17 +29,11 @@ func New[T any](name string, capacity int) *Ring[T] {
 	return &Ring[T]{buf: make([]T, capacity), name: name}
 }
 
-// Name returns the queue's diagnostic name.
-func (r *Ring[T]) Name() string { return r.name }
-
 // Cap returns the queue capacity in items.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
 // Len returns the number of items currently queued.
 func (r *Ring[T]) Len() int { return int(r.produced - r.consumed) }
-
-// Free returns the remaining capacity.
-func (r *Ring[T]) Free() int { return r.Cap() - r.Len() }
 
 // Empty reports whether the queue holds no items.
 func (r *Ring[T]) Empty() bool { return r.produced == r.consumed }
@@ -87,44 +81,10 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
-// TryPop removes the oldest item if one exists.
-func (r *Ring[T]) TryPop() (T, bool) {
-	if r.Empty() {
-		var zero T
-		return zero, false
-	}
-	return r.Pop(), true
-}
-
 // Peek returns the oldest item without removing it.
 func (r *Ring[T]) Peek() T {
 	if r.Empty() {
 		panic(fmt.Sprintf("ring %q: peek on empty queue", r.name))
 	}
 	return r.buf[r.consumed%uint64(len(r.buf))]
-}
-
-// PeekAt returns the i-th oldest item (0 = head) without removing it.
-func (r *Ring[T]) PeekAt(i int) T {
-	if i < 0 || i >= r.Len() {
-		panic(fmt.Sprintf("ring %q: peek index %d out of range (len %d)", r.name, i, r.Len()))
-	}
-	return r.buf[(r.consumed+uint64(i))%uint64(len(r.buf))]
-}
-
-// Drain pops every queued item into a new slice, oldest first.
-func (r *Ring[T]) Drain() []T {
-	out := make([]T, 0, r.Len())
-	for !r.Empty() {
-		out = append(out, r.Pop())
-	}
-	return out
-}
-
-// Reset empties the queue without resetting the counters (counters are
-// monotonic for the life of the queue, as in the paper's scheme).
-func (r *Ring[T]) Reset() {
-	for !r.Empty() {
-		r.Pop()
-	}
 }

@@ -77,18 +77,14 @@ func TestPopEmptyPanics(t *testing.T) {
 
 func TestTryVariants(t *testing.T) {
 	r := New[int]("q", 1)
-	if _, ok := r.TryPop(); ok {
-		t.Fatal("TryPop on empty should fail")
-	}
 	if !r.TryPush(7) {
 		t.Fatal("TryPush on empty should succeed")
 	}
 	if r.TryPush(8) {
 		t.Fatal("TryPush on full should fail")
 	}
-	v, ok := r.TryPop()
-	if !ok || v != 7 {
-		t.Fatalf("TryPop = (%d,%v)", v, ok)
+	if v := r.Pop(); v != 7 || !r.Empty() {
+		t.Fatalf("Pop = %d, empty %v after a refused TryPush", v, r.Empty())
 	}
 }
 
@@ -99,36 +95,8 @@ func TestPeek(t *testing.T) {
 	if r.Peek() != 10 {
 		t.Fatal("Peek should see oldest")
 	}
-	if r.PeekAt(1) != 20 {
-		t.Fatal("PeekAt(1) should see second-oldest")
-	}
 	if r.Len() != 2 {
 		t.Fatal("Peek must not consume")
-	}
-}
-
-func TestPeekAtOutOfRangePanics(t *testing.T) {
-	r := New[int]("q", 4)
-	r.Push(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	r.PeekAt(1)
-}
-
-func TestDrain(t *testing.T) {
-	r := New[int]("q", 4)
-	r.Push(1)
-	r.Push(2)
-	r.Push(3)
-	got := r.Drain()
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Drain = %v", got)
-	}
-	if !r.Empty() {
-		t.Fatal("Drain must empty the ring")
 	}
 }
 
@@ -139,19 +107,6 @@ func TestZeroCapacityPanics(t *testing.T) {
 		}
 	}()
 	New[int]("q", 0)
-}
-
-func TestReset(t *testing.T) {
-	r := New[int]("q", 4)
-	r.Push(1)
-	r.Push(2)
-	r.Reset()
-	if !r.Empty() {
-		t.Fatal("Reset must empty")
-	}
-	if r.Produced() != 2 || r.Consumed() != 2 {
-		t.Fatal("Reset must preserve monotonic counters")
-	}
 }
 
 // Property: a ring behaves exactly like a bounded slice-based FIFO under
@@ -174,19 +129,17 @@ func TestRingMatchesOracle(t *testing.T) {
 				}
 				next++
 			} else { // pop
-				v, ok := r.TryPop()
-				wantOK := len(oracle) > 0
-				if ok != wantOK {
+				if r.Empty() != (len(oracle) == 0) {
 					return false
 				}
-				if ok {
-					if v != oracle[0] {
+				if !r.Empty() {
+					if r.Pop() != oracle[0] {
 						return false
 					}
 					oracle = oracle[1:]
 				}
 			}
-			if r.Len() != len(oracle) || r.Free() != capacity-len(oracle) {
+			if r.Len() != len(oracle) || r.Full() != (len(oracle) == capacity) {
 				return false
 			}
 			if r.Produced()-r.Consumed() != uint64(len(oracle)) {

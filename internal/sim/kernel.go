@@ -144,25 +144,22 @@ func (k *Kernel) scheduleWake(t Time, p *Proc) {
 	}
 }
 
-// Run executes events until the queue is empty or the horizon is reached,
-// then unwinds any processes still parked on signals. horizon may be
-// MaxTime for an unbounded run. It returns the first process failure, if
-// any process panicked.
-func (k *Kernel) Run(horizon Time) error {
-	k.Step(horizon)
-	k.stopParked()
-	return k.failure
+// RunAll executes events until the queue is empty, then unwinds any
+// processes still blocked (Step to MaxTime, then Finish). It returns
+// the first process failure, if any process panicked. An event callback
+// that panics outside every process reaches the caller as a panic, but
+// only after the unwinding, so no process stays parked.
+func (k *Kernel) RunAll() (err error) {
+	defer func() { err = k.Finish() }()
+	return k.Step(MaxTime)
 }
-
-// RunAll is Run with an unbounded horizon.
-func (k *Kernel) RunAll() error { return k.Run(MaxTime) }
 
 // Step executes events up to and including horizon, leaving every
 // process and pending event intact so the run can be continued with a
-// later horizon. It is the windowed form of Run that the shard runtime
-// drives barrier-to-barrier; a completed sequence of Steps must end
-// with Finish to unwind parked processes. It returns the first process
-// failure, if any.
+// later horizon. It is the windowed form of RunAll that the shard
+// runtime drives barrier-to-barrier; a completed sequence of Steps must
+// end with Finish to unwind parked processes. It returns the first
+// process failure, if any.
 //
 // Step is the trampoline: it resumes each woken process, which runs
 // (and drives the event loop while it blocks) until it yields the next
@@ -181,8 +178,7 @@ func (k *Kernel) Step(horizon Time) error {
 }
 
 // Finish ends a Step sequence: it unwinds any processes still parked on
-// signals or timed sleeps, exactly as Run does after its horizon, and
-// returns the first recorded failure.
+// signals or timed sleeps and returns the first recorded failure.
 func (k *Kernel) Finish() error {
 	k.stopParked()
 	return k.failure

@@ -157,11 +157,9 @@ func TestResourceFIFO(t *testing.T) {
 			t.Fatalf("ends = %v, want %v", ends, want)
 		}
 	}
-	if r.BusyTime() != 30*Microsecond {
-		t.Fatalf("busy = %v", r.BusyTime())
-	}
-	if u := r.Utilization(); u != 1.0 {
-		t.Fatalf("utilization = %v, want 1.0", u)
+	// Busy the whole run: 30us of granted service over 30us elapsed.
+	if u := r.Utilization(); k.Now() != want[2] || u != 1.0 {
+		t.Fatalf("utilization = %v at %v, want 1.0 at %v", u, k.Now(), want[2])
 	}
 }
 

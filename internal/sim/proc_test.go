@@ -29,6 +29,13 @@ func settleGoroutines(t *testing.T, want int, when string) {
 	}
 }
 
+// idleCoros returns the length of the coroutine idle list.
+func idleCoros() int {
+	idle.Lock()
+	defer idle.Unlock()
+	return len(idle.list)
+}
+
 // requireHandsBack runs a simulation with procs processes twice, on an
 // idle list emptied for the test. The first run must create exactly
 // procs coroutines and leave all of them idle; the second must reuse
@@ -52,10 +59,7 @@ func requireHandsBack(t *testing.T, procs int, wantErr string, run func() error)
 		if (err == nil) != (wantErr == "") || err != nil && !strings.Contains(err.Error(), wantErr) {
 			t.Fatalf("%s: run error = %v, want %q", when, err, wantErr)
 		}
-		idle.Lock()
-		n := len(idle.list)
-		idle.Unlock()
-		if n != procs {
+		if n := idleCoros(); n != procs {
 			t.Fatalf("%s: %d idle coroutines after the run, want %d", when, n, procs)
 		}
 		settleGoroutines(t, base+procs, when)
@@ -211,6 +215,58 @@ func TestCallbackPanicAfterProcessEndsReachesCaller(t *testing.T) {
 	t.Fatal("RunAll returned instead of panicking")
 }
 
+// TestCallbackPanicUnwindsBlockedProcesses: a callback panic that
+// escapes the run must unwind every blocked process before it reaches
+// the caller, on the panicked shard as on the others. Each run leaves a
+// process parked on a Signal on every shard; were any left suspended,
+// its coroutine would stay off the idle list for the rest of the
+// program, and every run would add a goroutine.
+func TestCallbackPanicUnwindsBlockedProcesses(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// Put as many coroutines on the idle list as a run spawns
+			// processes, so the runs below need no new goroutine.
+			k := NewKernel()
+			for i := 0; i < 2*shards; i++ {
+				k.Spawn("warm", func(*Proc) {})
+			}
+			if err := k.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			base, idleBase := runtime.NumGoroutine(), idleCoros()
+			for i := 0; i < 3; i++ {
+				panickingRun(t, shards)
+			}
+			settleGoroutines(t, base, "three panicking runs")
+			if n := idleCoros(); n != idleBase {
+				t.Fatalf("%d idle coroutines after three panicking runs, want %d", n, idleBase)
+			}
+		})
+	}
+}
+
+// panickingRun runs a group whose last shard raises a callback panic on
+// the trampoline, after that shard's short process has ended, and
+// requires the panic to reach the caller unchanged.
+func panickingRun(t *testing.T, shards int) {
+	t.Helper()
+	g := NewShardGroup(shards, Microsecond)
+	for i := 0; i < shards; i++ {
+		k := g.Shard(i).Kernel()
+		s := NewSignal(k)
+		k.Spawn("parked", func(p *Proc) { p.Wait(s) })
+		k.Spawn("short", func(p *Proc) { p.Sleep(Microsecond) })
+	}
+	g.Shard(shards-1).Kernel().At(Time(2*Microsecond), func() { panic("callback boom") })
+	defer func() {
+		if r := recover(); r != "callback boom" {
+			t.Fatalf("Run caller recovered %v, want the callback's panic", r)
+		}
+	}()
+	_ = g.Run()
+	t.Fatal("Run returned instead of panicking")
+}
+
 // pingCount is the shard-1 state the cross-shard posts update.
 type pingCount struct {
 	n int
@@ -250,7 +306,7 @@ func TestCoroAcrossShards(t *testing.T) {
 				done = append(done, p.Now())
 			})
 		}
-		sh1.Kernel().Spawn("waiter", func(p *Proc) { p.Wait(NewSignal(p.Kernel())) })
+		sh1.Kernel().Spawn("waiter", func(p *Proc) { p.Wait(NewSignal(sh1.Kernel())) })
 		err := g.Run()
 		// The last ping leaves shard 0 at 10us (pinger 1's fifth sleep)
 		// and lands one window later.

@@ -58,9 +58,6 @@ func (r *Resource) ReserveAt(earliest Time, d Duration) (start, end Time) {
 	return start, end
 }
 
-// BusyTime returns the total granted service time.
-func (r *Resource) BusyTime() Duration { return r.busy }
-
 // Utilization returns busy time divided by elapsed virtual time.
 func (r *Resource) Utilization() float64 {
 	if r.k.now == 0 {

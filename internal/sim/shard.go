@@ -67,9 +67,6 @@ type Shard struct {
 	stats ShardStats
 }
 
-// ID returns the shard's index within its group.
-func (s *Shard) ID() int { return s.id }
-
 // Kernel returns the shard's kernel. Model construction schedules on it
 // directly; during a run it must only be touched by events executing on
 // it (single-kernel discipline, per shard).
@@ -97,9 +94,8 @@ func (s *Shard) Post(dst int, at Time, fn func(any), arg any) {
 
 // ShardGroup coordinates n shard kernels through windowed barriers.
 type ShardGroup struct {
-	window  Duration
-	shards  []*Shard
-	windows uint64
+	window Duration
+	shards []*Shard
 
 	inbox []xevent // merge scratch, reused across barriers
 }
@@ -136,12 +132,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 
 // Shard returns shard i.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
-
-// Window returns the group's lookahead window.
-func (g *ShardGroup) Window() Duration { return g.window }
-
-// Windows returns the number of barrier rounds executed so far.
-func (g *ShardGroup) Windows() uint64 { return g.windows }
 
 // Stats returns a snapshot of every shard's counters, indexed by shard.
 func (g *ShardGroup) Stats() []ShardStats {
@@ -233,7 +223,6 @@ func (g *ShardGroup) Run() error {
 		if horizon < base { // window butts against MaxTime
 			horizon = MaxTime
 		}
-		g.windows++
 
 		// Dispatch every shard with work inside the window; the rest
 		// keep their clocks parked and cost nothing this round.
@@ -260,15 +249,14 @@ func (g *ShardGroup) Run() error {
 		g.exchange()
 	}
 
-	// Teardown in shard order keeps process unwinding deterministic.
-	// Cross-shard posts buffered by a failed round are dropped — their
-	// destinations never advance to them, exactly as a single kernel
-	// abandons its queue beyond the failure.
+	// Teardown in shard order keeps process unwinding deterministic. It
+	// covers a shard whose callback panicked too, before the panic is
+	// re-raised, as RunAll does for a single kernel. Cross-shard posts
+	// buffered by a failed round are dropped — their destinations never
+	// advance to them, exactly as a single kernel abandons its queue
+	// beyond the failure.
 	for _, s := range g.shards {
 		s.stats.Events = s.k.EventsRun()
-		if panics[s.id] != nil {
-			continue // a panicked shard's kernel state is indeterminate
-		}
 		if err := s.k.Finish(); err != nil && errs[s.id] == nil {
 			errs[s.id] = err
 		}

@@ -54,9 +54,6 @@ func (d Duration) String() string {
 	}
 }
 
-// Nanoseconds returns t as a floating-point number of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
 // Microseconds returns t as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 

@@ -74,10 +74,10 @@ func (h *Histogram) Count() uint64 { return h.n }
 
 // Empty-histogram contract: every query on a histogram with no samples
 // returns its zero value — Mean, Min, Max, and Percentile (at any p)
-// return 0, and Summary returns "no samples". Callers may therefore
-// ask without checking Count first; windowed series lean
-// on this, since an idle window's percentiles must print as zeros, not
-// panic or fabricate values. Pinned by TestEmptyHistogramContract.
+// return 0. Callers may therefore ask without checking Count first;
+// windowed series lean on this, since an idle window's percentiles must
+// print as zeros, not panic or fabricate values. Pinned by
+// TestEmptyHistogramContract.
 
 // Mean returns the arithmetic mean of the samples (0 with no samples).
 func (h *Histogram) Mean() sim.Duration {
@@ -149,15 +149,4 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.n += other.n
 	h.sum += other.sum
-}
-
-// Summary formats count/mean/p50/p90/p99/max on one line, or "no
-// samples" for an empty histogram.
-func (h *Histogram) Summary() string {
-	if h.n == 0 {
-		return "no samples"
-	}
-	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
-		h.n, h.Mean(), h.Percentile(0.50), h.Percentile(0.90),
-		h.Percentile(0.99), h.Max())
 }

@@ -187,7 +187,3 @@ func (c *Conn) Read(p []byte) (int, error) {
 func (c *Conn) Close() error {
 	return c.send(nil, flagFIN)
 }
-
-// Pending returns how many out-of-order segments await reassembly
-// (non-zero only after return-to-sender reordering).
-func (c *Conn) Pending() int { return len(c.ooo) }

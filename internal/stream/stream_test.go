@@ -119,7 +119,7 @@ func TestReorderingUnderRejection(t *testing.T) {
 		for {
 			n, err := conn.Read(buf)
 			got = append(got, buf[:n]...)
-			if conn.Pending() > 0 {
+			if len(conn.ooo) > 0 {
 				sawOOO = true
 			}
 			// Model a busy receiver so the queue backs up.

@@ -10,6 +10,10 @@ import (
 	"fm/internal/sim"
 )
 
+// downs totals the outage windows a run saw begin, over all three
+// component classes.
+func downs(s myrinet.FaultStats) uint64 { return s.LinkDowns + s.SwitchDowns + s.NodeDowns }
+
 func TestParseFaultPlanRoundTrip(t *testing.T) {
 	text := "link 3 10 40; switch 1 20 60\nnode 0 5 15; loss 2 30 50; corrupt 4 1 99"
 	p, err := ParseFaultPlan(text)
@@ -134,7 +138,7 @@ func TestDriveFMFaultsDelivers(t *testing.T) {
 	if res.Stranded != 0 {
 		t.Fatalf("%d frames stranded", res.Stranded)
 	}
-	if res.Fault.Downs() == 0 || res.Fault.Recoveries == 0 {
+	if downs(res.Fault) == 0 || res.Fault.Recoveries == 0 {
 		t.Fatalf("fault toggles unobserved: %+v", res.Fault)
 	}
 	if res.LastDelivery <= 0 || res.LastDelivery > res.Elapsed {
@@ -156,7 +160,7 @@ func TestDriveFMFaultsEmptyPlanMatchesDriveFM(t *testing.T) {
 	if faulted.Messages != clean.Messages || faulted.PayloadBytes != clean.PayloadBytes {
 		t.Fatalf("totals differ: %+v vs %+v", faulted.Result, clean)
 	}
-	if faulted.Latency.Summary() != clean.Latency.Summary() {
+	if faulted.Latency != clean.Latency {
 		t.Fatal("latency distribution differs with an empty plan")
 	}
 	if faulted.Elapsed != clean.Elapsed {
@@ -165,7 +169,7 @@ func TestDriveFMFaultsEmptyPlanMatchesDriveFM(t *testing.T) {
 	if faulted.LastDelivery > clean.Elapsed {
 		t.Fatalf("last delivery %v after quiescence %v", faulted.LastDelivery, clean.Elapsed)
 	}
-	if faulted.Stats.Retransmits != 0 || faulted.Stats.NetBounces != 0 || faulted.Fault.Downs() != 0 {
+	if faulted.Stats.Retransmits != 0 || faulted.Stats.NetBounces != 0 || downs(faulted.Fault) != 0 {
 		t.Fatalf("phantom fault activity on an empty plan: %+v %+v", faulted.Stats, faulted.Fault)
 	}
 }
@@ -195,7 +199,7 @@ func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 		if sh.Stranded != 0 || sh.Stats.Duplicates != 0 {
 			t.Fatalf("shards=%d stranded=%d duplicates=%d", shards, sh.Stranded, sh.Stats.Duplicates)
 		}
-		if sh.Fault.Downs() != single.Fault.Downs() || sh.Fault.Recoveries != single.Fault.Recoveries {
+		if downs(sh.Fault) != downs(single.Fault) || sh.Fault.Recoveries != single.Fault.Recoveries {
 			t.Fatalf("shards=%d toggle counts diverge: %+v vs %+v", shards, sh.Fault, single.Fault)
 		}
 	}
@@ -203,7 +207,7 @@ func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 	a := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 2)
 	b := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 2)
 	if a.Elapsed != b.Elapsed || a.LastDelivery != b.LastDelivery || a.Stats != b.Stats || a.Fault != b.Fault ||
-		a.Latency.Summary() != b.Latency.Summary() {
+		a.Latency != b.Latency {
 		t.Fatal("sharded faulted run is not reproducible")
 	}
 }

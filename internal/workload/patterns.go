@@ -5,7 +5,22 @@ import "fmt"
 // The pattern catalog. The first two are ports of the traffic the
 // fabrics/scale experiments hand-rolled; the rest are the classical
 // interconnect stress patterns the paper's successors (and every
-// network-simulation suite since) measure.
+// network-simulation suite since) measure. Every closed-form pattern
+// states its traffic once, in RankLen and SendAt; its Gen expands them
+// through genStream.
+
+// genStream materializes rank src's send list from a closed form.
+func genStream(p StreamingPattern, src, n int) []Send {
+	m := p.RankLen(src, n)
+	if m == 0 {
+		return nil
+	}
+	out := make([]Send, m)
+	for j := range out {
+		out[j] = p.SendAt(src, n, j)
+	}
+	return out
+}
 
 // AllToAll sends Rounds packets from every rank to every other rank,
 // destination order rotated per source so the pattern is not a
@@ -18,15 +33,7 @@ type AllToAll struct {
 func (AllToAll) Name() string { return "all-to-all" }
 
 // Gen implements Pattern.
-func (a AllToAll) Gen(src, n int) []Send {
-	out := make([]Send, 0, a.Rounds*(n-1))
-	for r := 0; r < a.Rounds; r++ {
-		for off := 1; off < n; off++ {
-			out = append(out, Send{Dst: (src + off) % n})
-		}
-	}
-	return out
-}
+func (a AllToAll) Gen(src, n int) []Send { return genStream(a, src, n) }
 
 // RankLen implements StreamingPattern.
 func (a AllToAll) RankLen(src, n int) int {
@@ -62,13 +69,7 @@ func (Bisection) AdjustNodes(n int) int {
 }
 
 // Gen implements Pattern.
-func (b Bisection) Gen(src, n int) []Send {
-	out := make([]Send, b.Packets)
-	for i := range out {
-		out[i] = Send{Dst: (src + n/2) % n}
-	}
-	return out
-}
+func (b Bisection) Gen(src, n int) []Send { return genStream(b, src, n) }
 
 // RankLen implements StreamingPattern.
 func (b Bisection) RankLen(src, n int) int { return b.Packets }
@@ -133,25 +134,12 @@ type Tornado struct {
 func (Tornado) Name() string { return "tornado" }
 
 // Gen implements Pattern.
-func (t Tornado) Gen(src, n int) []Send {
-	if n < 2 {
-		return nil // no other rank to shift onto
-	}
-	shift := (n+1)/2 - 1
-	if shift < 1 {
-		shift = 1 // degenerate 2-rank job: the only other rank
-	}
-	out := make([]Send, t.Packets)
-	for i := range out {
-		out[i] = Send{Dst: (src + shift) % n}
-	}
-	return out
-}
+func (t Tornado) Gen(src, n int) []Send { return genStream(t, src, n) }
 
 // RankLen implements StreamingPattern.
 func (t Tornado) RankLen(src, n int) int {
 	if n < 2 {
-		return 0
+		return 0 // no other rank to shift onto
 	}
 	return t.Packets
 }
@@ -160,7 +148,7 @@ func (t Tornado) RankLen(src, n int) int {
 func (t Tornado) SendAt(src, n, j int) Send {
 	shift := (n+1)/2 - 1
 	if shift < 1 {
-		shift = 1
+		shift = 1 // degenerate 2-rank job: the only other rank
 	}
 	return Send{Dst: (src + shift) % n}
 }
@@ -178,16 +166,7 @@ type Incast struct {
 func (Incast) Name() string { return "incast" }
 
 // Gen implements Pattern.
-func (c Incast) Gen(src, n int) []Send {
-	if src == c.Target%n {
-		return nil
-	}
-	out := make([]Send, c.Packets)
-	for i := range out {
-		out[i] = Send{Dst: c.Target % n}
-	}
-	return out
-}
+func (c Incast) Gen(src, n int) []Send { return genStream(c, src, n) }
 
 // RankLen implements StreamingPattern.
 func (c Incast) RankLen(src, n int) int {
@@ -216,19 +195,7 @@ type Neighbor struct {
 func (Neighbor) Name() string { return "neighbor" }
 
 // Gen implements Pattern.
-func (g Neighbor) Gen(src, n int) []Send {
-	left, right, hasL, hasR := g.ends(src, n)
-	var out []Send
-	for r := 0; r < g.Rounds; r++ {
-		if hasL {
-			out = append(out, Send{Dst: left, Size: g.Bytes})
-		}
-		if hasR {
-			out = append(out, Send{Dst: right, Size: g.Bytes})
-		}
-	}
-	return out
-}
+func (g Neighbor) Gen(src, n int) []Send { return genStream(g, src, n) }
 
 // ends resolves rank src's neighbors and whether each side exists
 // (boundary ranks without wrap miss one; tiny rings degenerate).
@@ -287,20 +254,7 @@ type Broadcast struct {
 func (Broadcast) Name() string { return "broadcast" }
 
 // Gen implements Pattern.
-func (b Broadcast) Gen(src, n int) []Send {
-	if src != b.Root%n {
-		return nil
-	}
-	out := make([]Send, 0, b.Rounds*(n-1))
-	for r := 0; r < b.Rounds; r++ {
-		for dst := 0; dst < n; dst++ {
-			if dst != src {
-				out = append(out, Send{Dst: dst})
-			}
-		}
-	}
-	return out
-}
+func (b Broadcast) Gen(src, n int) []Send { return genStream(b, src, n) }
 
 // RankLen implements StreamingPattern.
 func (b Broadcast) RankLen(src, n int) int {

@@ -76,7 +76,7 @@ func TestResilienceSingleFault(t *testing.T) {
 				t.Fatalf("seed %d (%s %d on clos-%d) shards=%d: fault window [%d,%d)us drew no retransmits (bounced=%d)",
 					seed, ev.Kind, ev.Index, nodes, shards, ev.StartUs, ev.EndUs, res.Fault.Bounced)
 			}
-			if res.Fault.Downs() != 1 || res.Fault.Recoveries != 1 {
+			if downs(res.Fault) != 1 || res.Fault.Recoveries != 1 {
 				t.Fatalf("seed %d shards=%d: toggles miscounted: %+v", seed, shards, res.Fault)
 			}
 		}

@@ -60,7 +60,8 @@ type Pattern interface {
 //
 // Implementations must agree exactly with Gen: RankLen(src, n) ==
 // len(Gen(src, n)) and SendAt(src, n, j) == Gen(src, n)[j] for every
-// valid j (streaming_test.go pins this for the whole catalog).
+// valid j. The catalog's closed forms hold this by construction (their
+// Gen expands RankLen and SendAt); streaming_test.go pins it.
 // Sequentially-seeded patterns (UniformRandom, the soak Sources) stay
 // materialized: their j-th value depends on a PRNG prefix.
 type StreamingPattern interface {

@@ -51,6 +51,38 @@ func TestPatternsPureAndValid(t *testing.T) {
 	}
 }
 
+// TestClosedFormSends pins one small job's concrete send list for every
+// closed-form pattern. Their Gen derives from RankLen and SendAt, so
+// TestStreamingPatternsMatchGen cannot catch a wrong closed form; this
+// table can.
+func TestClosedFormSends(t *testing.T) {
+	to := func(dsts ...int) []Send {
+		out := make([]Send, len(dsts))
+		for i, d := range dsts {
+			out[i] = Send{Dst: d}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		pat    Pattern
+		src, n int
+		want   []Send
+	}{
+		{AllToAll{Rounds: 2}, 1, 4, to(2, 3, 0, 2, 3, 0)},
+		{Bisection{Packets: 2}, 1, 6, to(4, 4)},
+		{Tornado{Packets: 2}, 5, 8, to(0, 0)},
+		{Tornado{Packets: 1}, 1, 2, to(0)}, // degenerate shift of one
+		{Incast{Target: 6, Packets: 2}, 1, 4, to(2, 2)},
+		{Neighbor{Rounds: 2, Wrap: true, Bytes: 16}, 0, 4,
+			[]Send{{Dst: 3, Size: 16}, {Dst: 1, Size: 16}, {Dst: 3, Size: 16}, {Dst: 1, Size: 16}}},
+		{Broadcast{Root: 5, Rounds: 2}, 1, 4, to(0, 2, 3, 0, 2, 3)},
+	} {
+		if got := c.pat.Gen(c.src, c.n); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%T%+v.Gen(%d, %d) = %v, want %v", c.pat, c.pat, c.src, c.n, got, c.want)
+		}
+	}
+}
+
 // The PRNG seed is pinned: this exact destination sequence is part of
 // the package's compatibility surface, because experiment outputs built
 // on it are compared byte-for-byte across runs and machines.
