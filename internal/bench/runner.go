@@ -269,7 +269,7 @@ func All() []Experiment {
 // dwarfs the paper reproductions. Run them by id.
 func Extended() []Experiment {
 	return []Experiment{
-		{"scale", "Clos scaling sweep: 64 to 4096 nodes, raw fabric and full FM stack (~30 min at the default node list)",
+		{"scale", "Clos scaling sweep: 64 to 4096 nodes, raw fabric and full FM stack",
 			"full-bisection Clos sweep driving all-to-all and bisection traffic at raw and FM levels; shards with -shards", Scale,
 			[]string{"scale-nodes", "scale-pattern"}, ValidateScale},
 		{"faults", "Resilience: seeded fault injection (outages, loss, corruption) on a Clos — degraded bisection BW, retransmits, recovery",

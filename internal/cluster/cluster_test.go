@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -40,6 +41,20 @@ func TestNodeStackFootprint(t *testing.T) {
 	t.Logf("nodeStack is %d bytes (%s)", size, sizes)
 	if size > limit {
 		t.Errorf("nodeStack is %d bytes, over the %d-byte bound (%s)", size, limit, sizes)
+	}
+}
+
+// TestWaitIncomingWithNoSenderIsDeadlock: rank 1 waits for a message
+// nobody sends. The run reaches quiescence with its host process still
+// waiting, and Run must say so instead of returning nil.
+func TestWaitIncomingWithNoSenderIsDeadlock(t *testing.T) {
+	c := NewFM(2, core.DefaultConfig(), cost.Default())
+	c.Start(0, func(ep *core.Endpoint) { ep.CPU().Advance(sim.Microsecond) })
+	c.Start(1, func(ep *core.Endpoint) { ep.WaitIncoming() })
+	err := c.Run()
+	if err == nil || !strings.Contains(err.Error(), `deadlock at `) ||
+		!strings.HasSuffix(err.Error(), `wait on a signal: "host1"`) {
+		t.Fatalf("Run = %v, want a deadlock naming only host1", err)
 	}
 }
 

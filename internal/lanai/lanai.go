@@ -5,9 +5,9 @@
 // coordinate (paper Sections 2 and 4).
 //
 // The LANai's processor itself is modeled by the control program in
-// package lcp, which runs as a simulated process and charges instruction
-// time against the cost model. This package holds the device state both
-// sides share.
+// package lcp, an event-driven state machine that charges instruction
+// time against the cost model and sleeps on Work between trips. This
+// package holds the device state both sides share.
 package lanai
 
 import (

@@ -2,21 +2,25 @@
 // paper analyzes in Section 4.2 (Figure 2) and refines through Sections
 // 4.3-4.5.
 //
-// The LCP runs as a simulated process that charges LANai instruction time
-// per step of the loop. Two loop organizations are provided, matching
-// Figure 2: baseline (alternate one send, one receive per trip) and
-// streamed (consolidated checks; drain sends, then drain receives). On
-// top of the loop, options select where outbound frames come from (the
-// host send queue for hybrid, host-DMA pulls for all-DMA, or an on-card
-// synthetic generator for the LANai-to-LANai experiments), whether
-// received frames are DMAed onward to the host, whether the LCP performs
-// per-packet interpretation (the Figure 7 switch() experiment), and
-// whether host-bound packets are aggregated into single DMA transfers.
+// The LCP is event-driven, like the card's DMA engines and the SBus: it
+// is a state machine whose steps are kernel events. Each point where the
+// loop charges LANai instruction or DMA-setup time (from the cost model)
+// ends a step, and the next step is scheduled for the instant the charge
+// is paid. A loop that finds no work registers on the device's work
+// signal, and the next pulse resumes it.
+//
+// Two loop organizations are provided, matching Figure 2: baseline
+// (alternate one send, one receive per trip) and streamed (consolidated
+// checks; drain sends, then drain receives). On top of the loop, options
+// select where outbound frames come from (the host send queue for
+// hybrid, host-DMA pulls for all-DMA, or an on-card synthetic generator
+// for the LANai-to-LANai experiments), whether received frames are DMAed
+// onward to the host, whether the LCP performs per-packet interpretation
+// (the Figure 7 switch() experiment), and whether host-bound packets are
+// aggregated into single DMA transfers.
 package lcp
 
 import (
-	"fmt"
-
 	"fm/internal/lanai"
 	"fm/internal/myrinet"
 	"fm/internal/sim"
@@ -58,11 +62,12 @@ type Options struct {
 	// ExtraInstrPerPacket charges additional LANai instructions on every
 	// send and receive, modeling the Myrinet API's heavier firmware.
 	ExtraInstrPerPacket int
-	// OnReceive consumes frames in non-HostDelivery mode. It runs in
-	// process context at zero cost; drivers use it for LANai-level
-	// ping-pong and counting. The frame is recycled to the fabric's
-	// packet pool when OnReceive returns: it must not retain the packet
-	// or its payload (copy what it needs, like an FM handler).
+	// OnReceive consumes frames in non-HostDelivery mode. It runs inside
+	// the receive step, an event callback, at zero cost, so it must not
+	// block; drivers use it for LANai-level ping-pong and counting. The
+	// frame is recycled to the fabric's packet pool when OnReceive
+	// returns: it must not retain the packet or its payload (copy what
+	// it needs, like an FM handler).
 	OnReceive func(p *myrinet.Packet)
 	// SynthDst is the destination node for synthetic frames.
 	SynthDst int
@@ -74,30 +79,78 @@ type Stats struct {
 	IdleWakes uint64 // times the loop found nothing and slept
 }
 
-// LCP is a running control program.
+// LCP is a running control program: the Figure 2 loop as a state
+// machine. phase is the part of the loop it stands in, and stage how far
+// the operation there has got. Every charge of LANai time ends a stage,
+// and the next stage runs as an event once the charge is paid.
 type LCP struct {
 	d     *lanai.Device
 	o     Options
 	stats Stats
 	batch []*myrinet.Packet // host-DMA staging scratch, reused per batch
+
+	phase    phase
+	stage    uint8
+	progress bool            // this trip around the loop has done work
+	pkt      *myrinet.Packet // the frame sendOne is moving
 }
 
-// Start spawns the control program process on d.
+// phase is a part of Figure 2's loop.
+type phase uint8
+
+const (
+	top        phase = iota // the start of a trip around the loop
+	sending                 // sendOne while the send channel has work
+	receiving               // recvOne while a frame waits
+	delivering              // one host DMA, if one can be issued
+	idling                  // no work this trip: wait for some
+)
+
+// Start runs the control program on d.
 func Start(d *lanai.Device, o Options) *LCP {
 	return StartAt(new(LCP), d, o)
 }
 
 // StartAt is Start in caller-provided storage (the cluster layer's
-// per-node stack slice): the control-program process spawns on the
-// device's kernel exactly as Start does.
+// per-node stack slice). The first step runs at the current instant,
+// after the events already queued there.
 func StartAt(l *LCP, d *lanai.Device, o Options) *LCP {
 	*l = LCP{d: d, o: o}
-	d.K.Spawn(fmt.Sprintf("lcp%d", d.ID), l.run)
+	d.K.AtArg(d.K.Now(), step, l)
 	return l
 }
 
 // Stats returns a copy of the loop counters.
 func (l *LCP) Stats() Stats { return l.stats }
+
+// step is the machine's one event callback, with the *LCP as argument.
+// Once the kernel tears down it does nothing, so a step left pending by
+// a failed run never moves a frame.
+func step(a any) {
+	l := a.(*LCP)
+	if l.d.K.Stopped() {
+		return
+	}
+	l.run()
+}
+
+// sleep ends the current stage: stage next runs d of LANai time from
+// now. It returns false, which an operation returns to say it is not
+// done yet.
+func (l *LCP) sleep(next uint8, d sim.Duration) bool {
+	l.stage = next
+	l.d.K.AfterArg(d, step, l)
+	return false
+}
+
+// sleepUntil ends the current stage: stage next runs at t, or now if t
+// has passed.
+func (l *LCP) sleepUntil(next uint8, t sim.Time) bool {
+	k := l.d.K
+	l.stage = next
+	k.AtArg(max(t, k.Now()), step, l)
+	return false
+}
 
 // sendReady reports whether the send channel has work.
 func (l *LCP) sendReady() bool {
@@ -124,35 +177,42 @@ func (l *LCP) recvReady() bool {
 }
 
 // sendOne performs one send step: charge loop instructions, obtain the
-// frame, set up the outgoing-channel DMA, and spool the frame out.
-func (l *LCP) sendOne(p *sim.Proc) {
+// frame, set up the outgoing-channel DMA, and spool the frame out. It
+// returns true once the frame's tail has left the card.
+func (l *LCP) sendOne() bool {
 	d := l.d
 	P := d.P
-	instr := P.LCPStreamedSendInstr
-	if !l.o.Streamed {
-		instr = P.LCPBaselineSendInstr
-	}
-	instr += l.o.ExtraInstrPerPacket
-	p.Sleep(P.Instr(instr))
-
-	var pkt *myrinet.Packet
-	switch l.o.Source {
-	case FromSendQueue:
-		pkt = d.SendQ.Peek()
-	case FromHostDMA:
-		// Fetch and decode the descriptor, then pull the frame across
-		// the bus before it can be spooled to the channel.
-		p.Sleep(P.Instr(P.LCPHostDMASetupInstr) + P.DMASetup)
+	switch l.stage {
+	case 0:
+		instr := P.LCPStreamedSendInstr
+		if !l.o.Streamed {
+			instr = P.LCPBaselineSendInstr
+		}
+		instr += l.o.ExtraInstrPerPacket
+		return l.sleep(1, P.Instr(instr))
+	case 1:
+		switch l.o.Source {
+		case FromSendQueue:
+			l.pkt = d.SendQ.Peek()
+		case FromHostDMA:
+			// Fetch and decode the descriptor, then pull the frame across
+			// the bus before it can be spooled to the channel.
+			return l.sleep(2, P.Instr(P.LCPHostDMASetupInstr)+P.DMASetup)
+		default:
+			l.pkt = d.NextSynthetic(l.o.SynthDst)
+		}
+		return l.sleep(4, P.DMASetup)
+	case 2:
 		var ready sim.Time
-		pkt, ready = d.PullFromHost()
-		p.SleepUntil(ready)
-	default:
-		pkt = d.NextSynthetic(l.o.SynthDst)
+		l.pkt, ready = d.PullFromHost()
+		return l.sleepUntil(3, ready)
+	case 3:
+		return l.sleep(4, P.DMASetup)
+	case 4:
+		done := d.Inject(l.pkt)
+		l.pkt = nil
+		return l.sleepUntil(5, done)
 	}
-
-	p.Sleep(P.DMASetup)
-	done := d.Inject(pkt)
-	p.SleepUntil(done)
 
 	if l.o.Source == FromSendQueue {
 		// The slot is reusable once the tail has left the card; the
@@ -160,24 +220,30 @@ func (l *LCP) sendOne(p *sim.Proc) {
 		d.SendQ.Pop()
 		d.SendFreed.Pulse()
 	}
+	return true
 }
 
 // recvOne performs one receive step: charge loop instructions (plus
 // interpretation if configured), re-arm the incoming engine, and move the
-// frame to the receive queue or the synthetic consumer.
-func (l *LCP) recvOne(p *sim.Proc) {
+// frame to the receive queue or the synthetic consumer. It returns true
+// once the frame has moved.
+func (l *LCP) recvOne() bool {
 	d := l.d
 	P := d.P
-	instr := P.LCPStreamedRecvInstr
-	if !l.o.Streamed {
-		instr = P.LCPBaselineRecvInstr
+	switch l.stage {
+	case 0:
+		instr := P.LCPStreamedRecvInstr
+		if !l.o.Streamed {
+			instr = P.LCPBaselineRecvInstr
+		}
+		if l.o.Interpret {
+			instr += P.LCPInterpretInstr
+		}
+		instr += l.o.ExtraInstrPerPacket
+		return l.sleep(1, P.Instr(instr))
+	case 1:
+		return l.sleep(2, P.DMASetup)
 	}
-	if l.o.Interpret {
-		instr += P.LCPInterpretInstr
-	}
-	instr += l.o.ExtraInstrPerPacket
-	p.Sleep(P.Instr(instr))
-	p.Sleep(P.DMASetup)
 
 	pkt := d.PopRx()
 	if l.o.HostDelivery {
@@ -190,22 +256,27 @@ func (l *LCP) recvOne(p *sim.Proc) {
 		}
 		d.Fab.Release(pkt)
 	}
+	return true
 }
 
 // deliverReady reports whether a host DMA can be issued now.
-func (l *LCP) deliverReady(p *sim.Proc) bool {
+func (l *LCP) deliverReady() bool {
 	d := l.d
 	return l.o.HostDelivery && !d.RecvQ.Empty() &&
-		d.HostRecvFree() > 0 && d.HostDMAFreeAt() <= p.Now()
+		d.HostRecvFree() > 0 && d.HostDMAFreeAt() <= d.K.Now()
 }
 
 // deliverBatch DMAs undelivered packets to the host receive queue: "the
 // LCP DMAs all undelivered packets to the host memory" in one transfer
-// when aggregation is on (Section 4.4).
-func (l *LCP) deliverBatch(p *sim.Proc) {
+// when aggregation is on (Section 4.4). It returns true once the
+// transfer is issued, or found to have no room after the setup.
+func (l *LCP) deliverBatch() bool {
 	d := l.d
 	P := d.P
-	p.Sleep(P.Instr(P.LCPHostDMASetupInstr) + P.DMASetup)
+	if l.stage == 0 {
+		return l.sleep(1, P.Instr(P.LCPHostDMASetupInstr)+P.DMASetup)
+	}
+
 	n := d.RecvQ.Len()
 	if free := d.HostRecvFree(); n > free {
 		n = free
@@ -214,50 +285,92 @@ func (l *LCP) deliverBatch(p *sim.Proc) {
 		n = 1
 	}
 	if n == 0 {
-		return // space vanished while we paid setup; retry next trip
+		return true // space vanished while we paid setup; retry next trip
 	}
 	l.batch = l.batch[:0]
 	for i := 0; i < n; i++ {
 		l.batch = append(l.batch, d.RecvQ.Pop())
 	}
 	d.DeliverToHost(l.batch) // the device copies the batch out
+	return true
 }
 
-// run is the main loop (Figure 2). It never returns; the kernel unwinds
-// the process at teardown.
-func (l *LCP) run(p *sim.Proc) {
-	d := l.d
+// idle waits for work: the next pulse of the device's work signal
+// resumes the loop, which then pays the tail of one polling trip.
+func (l *LCP) idle() bool {
+	switch l.stage {
+	case 0:
+		l.stats.IdleWakes++
+		l.stage = 1
+		l.d.Work.Notify(step, l)
+		return false
+	case 1:
+		// Waking models the tail of one polling trip: the change is
+		// noticed after a partial pass around the loop.
+		return l.sleep(2, l.d.P.Instr(l.d.P.LCPIdleRecheckInstr))
+	}
+	return true
+}
+
+// run is the main loop (Figure 2), resumed where the last step left it.
+// It returns when an operation has scheduled its next stage. An
+// operation that returns true is done, and the loop moves on as the
+// firmware's loop would.
+func (l *LCP) run() {
 	for {
-		l.stats.Loops++
-		progress := false
+		switch l.phase {
+		case top:
+			l.stats.Loops++
+			l.progress = false
+			l.phase = sending
 
-		for l.sendReady() {
-			l.sendOne(p)
-			progress = true
-			if !l.o.Streamed {
-				break
+		case sending: // for sendReady() { sendOne(); if !Streamed { break } }
+			if l.stage == 0 && !l.sendReady() {
+				l.phase = receiving
+				continue
 			}
-		}
-
-		for l.recvReady() {
-			l.recvOne(p)
-			progress = true
-			if !l.o.Streamed {
-				break
+			if !l.sendOne() {
+				return
 			}
-		}
+			l.stage, l.progress = 0, true
+			if !l.o.Streamed {
+				l.phase = receiving
+			}
 
-		if l.deliverReady(p) {
-			l.deliverBatch(p)
-			progress = true
-		}
+		case receiving: // for recvReady() { recvOne(); if !Streamed { break } }
+			if l.stage == 0 && !l.recvReady() {
+				l.phase = delivering
+				continue
+			}
+			if !l.recvOne() {
+				return
+			}
+			l.stage, l.progress = 0, true
+			if !l.o.Streamed {
+				l.phase = delivering
+			}
 
-		if !progress {
-			l.stats.IdleWakes++
-			p.Wait(d.Work)
-			// Waking models the tail of one polling trip: the change is
-			// noticed after a partial pass around the loop.
-			p.Sleep(d.P.Instr(d.P.LCPIdleRecheckInstr))
+		case delivering: // if deliverReady() { deliverBatch() }
+			if l.stage == 0 && !l.deliverReady() {
+				l.phase = idling
+				continue
+			}
+			if !l.deliverBatch() {
+				return
+			}
+			l.stage, l.progress = 0, true
+			l.phase = idling
+
+		case idling: // if !progress { wait for work }
+			if l.stage == 0 && l.progress {
+				l.phase = top
+				continue
+			}
+			if !l.idle() {
+				return
+			}
+			l.stage = 0
+			l.phase = top
 		}
 	}
 }

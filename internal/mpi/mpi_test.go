@@ -40,6 +40,25 @@ func runEP(t *testing.T, n int, app func(rank int, ep *core.Endpoint, c *mpi.Com
 	}
 }
 
+// TestRecvDeadlock: each rank posts a blocking receive from the other
+// before sending anything, the textbook MPI deadlock. The run must come
+// back with an error naming both ranks' processes, not nil.
+func TestRecvDeadlock(t *testing.T) {
+	cl := cluster.NewFM(2, core.DefaultConfig(), cost.Default())
+	for id := 0; id < 2; id++ {
+		cl.Start(id, func(ep *core.Endpoint) {
+			c := mpi.NewWorld(ep, 2, handler)
+			c.Recv(1-id, 7)
+			c.Send(1-id, 7, []byte("never sent"))
+		})
+	}
+	err := cl.Run()
+	if err == nil || !strings.Contains(err.Error(), `deadlock at `) ||
+		!strings.HasSuffix(err.Error(), `wait on a signal: "host0", "host1"`) {
+		t.Fatalf("Run = %v, want a deadlock naming both ranks", err)
+	}
+}
+
 // Unexpected messages arriving before the receive is posted must queue
 // and match later, in any tag order the receiver asks for.
 func TestUnexpectedBeforePost(t *testing.T) {

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Kernel is the event loop at the heart of a simulation. It owns the
 // virtual clock and the event queue and coordinates process scheduling.
@@ -52,7 +56,12 @@ func (k *Kernel) At(t Time, fn func()) {
 // function and a pointer argument instead of building a closure per
 // event. arg must not be retained by the caller in a way that outlives
 // the event unless that is intended.
-func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
+func (k *Kernel) AtArg(t Time, fn func(any), arg any) { k.schedule(t, fn, arg) }
+
+// schedule queues the event fn(arg) at absolute time t. A nil fn makes
+// it a process wake (arg is the *Proc), which drive hands straight to
+// the process instead of calling anything.
+func (k *Kernel) schedule(t Time, fn func(any), arg any) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -132,23 +141,13 @@ func (k *Kernel) drive() *Proc {
 	}
 }
 
-// scheduleWake schedules the wake event for p at absolute time t:
-// fn == nil marks it for direct handoff in the drive loop.
-func (k *Kernel) scheduleWake(t Time, p *Proc) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling wake at %v before now %v", t, k.now))
-	}
-	k.seq++
-	if e := (event{at: t, seq: k.seq, arg: p}); !k.q.pushFast(e) {
-		k.q.pushSlow(e)
-	}
-}
-
 // RunAll executes events until the queue is empty, then unwinds any
 // processes still blocked (Step to MaxTime, then Finish). It returns
-// the first process failure, if any process panicked. An event callback
-// that panics outside every process reaches the caller as a panic, but
-// only after the unwinding, so no process stays parked.
+// the first process failure, if any process panicked, or else the
+// deadlock error Finish reports for processes left waiting on a
+// signal. An event callback that panics outside every process reaches
+// the caller as a panic, but only after the unwinding, so no process
+// stays parked.
 func (k *Kernel) RunAll() (err error) {
 	defer func() { err = k.Finish() }()
 	return k.Step(MaxTime)
@@ -178,11 +177,51 @@ func (k *Kernel) Step(horizon Time) error {
 }
 
 // Finish ends a Step sequence: it unwinds any processes still parked on
-// signals or timed sleeps and returns the first recorded failure.
-func (k *Kernel) Finish() error {
+// signals or timed sleeps and returns the first recorded failure. A run
+// that failed nothing but stopped with no event pending while processes
+// still wait on a signal is deadlocked, since nothing is left to pulse
+// it: Finish then returns an error naming each of them and the virtual
+// time. A run cut at a horizon with events still pending is not.
+func (k *Kernel) Finish() error { return k.finish(true) }
+
+// finish is Finish, with the deadlock check optional: a shard group
+// whose run failed on another shard skips it, because the failure, not
+// this kernel, is why its processes were left waiting.
+func (k *Kernel) finish(checkDeadlock bool) error {
+	var deadlock error
+	if checkDeadlock {
+		deadlock = k.deadlock()
+	}
 	k.stopParked()
-	return k.failure
+	if k.failure != nil {
+		return k.failure
+	}
+	return deadlock
 }
+
+// deadlock returns the error for processes waiting on a signal when no
+// failure is recorded and no event is pending, or nil.
+func (k *Kernel) deadlock() error {
+	if k.failure != nil || k.q.Len() > 0 {
+		return nil
+	}
+	var names []string
+	for _, p := range k.procs {
+		if p.parked {
+			names = append(names, strconv.Quote(p.name))
+		}
+	}
+	if names == nil {
+		return nil
+	}
+	return fmt.Errorf("sim: deadlock at %v: no event is pending, and these processes wait on a signal: %s",
+		k.now, strings.Join(names, ", "))
+}
+
+// Stopped reports whether the kernel is tearing down (Finish). An
+// event-driven device checks it in its step callback and does nothing
+// then, as a process blocked at that point unwinds without running on.
+func (k *Kernel) Stopped() bool { return k.stopped }
 
 // NextEventAt returns the time of the earliest pending event, with ok
 // false when the queue is empty. The shard runtime uses it to pick each

@@ -218,11 +218,54 @@ func TestStopUnwindsParkedProcs(t *testing.T) {
 		defer func() { cleaned = true }()
 		p.Wait(s) // never pulsed; Run teardown must unwind this goroutine
 	})
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
+	if err := k.RunAll(); err == nil || !strings.Contains(err.Error(), `deadlock at 0ps`) {
+		t.Fatalf("RunAll = %v, want the deadlock error", err)
 	}
 	if !cleaned {
 		t.Fatal("parked process was not unwound")
+	}
+}
+
+// TestDeadlockNamesParkedProcesses: a run that reaches quiescence with
+// processes still waiting on a signal nobody will pulse returns an
+// error naming each of them and the virtual time, from one kernel and
+// from any shard of a group. A failure elsewhere in a group is reported
+// instead, since it is why the others were left waiting.
+func TestDeadlockNamesParkedProcesses(t *testing.T) {
+	k := NewKernel()
+	s := NewSignal(k)
+	k.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
+	k.Spawn("rank1", func(p *Proc) {
+		p.Sleep(2 * Microsecond)
+		p.Wait(s)
+	})
+	k.Spawn("rank2", func(p *Proc) {
+		p.Sleep(3 * Microsecond)
+		p.Wait(s)
+	})
+	want := `sim: deadlock at 3us: no event is pending, and these processes wait on a signal: "rank1", "rank2"`
+	if err := k.RunAll(); err == nil || err.Error() != want {
+		t.Fatalf("RunAll = %v, want %q", err, want)
+	}
+
+	g := NewShardGroup(2, Microsecond)
+	g.Shard(0).Kernel().Spawn("fine", func(p *Proc) { p.Sleep(Microsecond) })
+	k1 := g.Shard(1).Kernel()
+	k1.Spawn("stuck", func(p *Proc) { p.Wait(NewSignal(k1)) })
+	want = `sim: deadlock at 0ps: no event is pending, and these processes wait on a signal: "stuck"`
+	if err := g.Run(); err == nil || err.Error() != want {
+		t.Fatalf("ShardGroup.Run = %v, want %q", err, want)
+	}
+
+	g = NewShardGroup(2, Microsecond)
+	k0 := g.Shard(0).Kernel()
+	k0.Spawn("waiting", func(p *Proc) { p.Wait(NewSignal(k0)) })
+	g.Shard(1).Kernel().Spawn("doomed", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	if err := g.Run(); err == nil || !strings.Contains(err.Error(), `process "doomed" panicked`) {
+		t.Fatalf("ShardGroup.Run = %v, want the failure of shard 1", err)
 	}
 }
 

@@ -67,7 +67,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{k: k, name: name, fn: fn}
 	p.c = takeCoro(p)
 	k.procs = append(k.procs, p)
-	k.scheduleWake(k.now, p)
+	k.schedule(k.now, nil, p)
 	return p
 }
 
@@ -188,7 +188,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	// Hand-inlined scheduleWake: Sleep is the hottest schedule site in
+	// Hand-inlined schedule: Sleep is the hottest schedule site in
 	// process-heavy simulations.
 	k := p.k
 	t := k.now.Add(d)
@@ -208,7 +208,7 @@ func (p *Proc) SleepUntil(t Time) {
 	if t < p.k.now {
 		t = p.k.now
 	}
-	p.k.scheduleWake(t, p)
+	p.k.schedule(t, nil, p)
 	p.block()
 }
 

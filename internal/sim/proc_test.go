@@ -83,7 +83,7 @@ func TestCoroHandedBackWhenBodyReturns(t *testing.T) {
 
 func TestCoroHandedBackWhenParkedAtQueueEmpty(t *testing.T) {
 	const procs = 4
-	requireHandsBack(t, procs, "", func() error {
+	requireHandsBack(t, procs, `deadlock at 3us: no event is pending, and these processes wait on a signal: "stuck", "stuck", "stuck", "stuck"`, func() error {
 		k := NewKernel()
 		s := NewSignal(k)
 		unwound := 0
@@ -107,7 +107,7 @@ func TestCoroHandedBackWhenParkedAtQueueEmpty(t *testing.T) {
 // must take another pass instead of leaving it suspended.
 func TestCoroHandedBackWhenUnwindingParksAgain(t *testing.T) {
 	const procs = 2
-	requireHandsBack(t, procs, "", func() error {
+	requireHandsBack(t, procs, `deadlock at 0ps: no event is pending, and these processes wait on a signal: "stubborn", "stubborn"`, func() error {
 		k := NewKernel()
 		s := NewSignal(k)
 		for i := 0; i < procs; i++ {
@@ -285,7 +285,7 @@ func pingArrive(a any) {
 func TestCoroAcrossShards(t *testing.T) {
 	const pingers, pings, window = 2, 5, Microsecond
 	const procs = pingers + 3 // two pongs and one waiter nothing wakes
-	requireHandsBack(t, procs, "", func() error {
+	requireHandsBack(t, procs, `deadlock at 11us: no event is pending, and these processes wait on a signal: "waiter"`, func() error {
 		g := NewShardGroup(2, window)
 		sh0, sh1 := g.Shard(0), g.Shard(1)
 		c := &pingCount{s: NewSignal(sh1.Kernel())}

@@ -157,7 +157,9 @@ func (g *ShardGroup) Now() Time {
 // Run executes every shard to quiescence — no pending events anywhere,
 // no undelivered cross-shard posts — then unwinds each shard's parked
 // processes in shard order. It returns the first failure by (shard,
-// kernel) order. Run may only be called once per group.
+// kernel) order; with none, the first shard's deadlock error (see
+// Kernel.Finish), if a process on it still waits on a signal. Run may
+// only be called once per group.
 func (g *ShardGroup) Run() error {
 	n := len(g.shards)
 	if n == 1 {
@@ -204,6 +206,7 @@ func (g *ShardGroup) Run() error {
 		}
 	}()
 
+	failed := false
 	for {
 		// Pick the next window: [T, T+window) from the earliest pending
 		// instant anywhere.
@@ -236,7 +239,6 @@ func (g *ShardGroup) Run() error {
 		for i := 0; i < dispatched; i++ {
 			<-done
 		}
-		failed := false
 		for i := range g.shards {
 			if errs[i] != nil || panics[i] != nil {
 				failed = true
@@ -257,7 +259,7 @@ func (g *ShardGroup) Run() error {
 	// beyond the failure.
 	for _, s := range g.shards {
 		s.stats.Events = s.k.EventsRun()
-		if err := s.k.Finish(); err != nil && errs[s.id] == nil {
+		if err := s.k.finish(!failed); err != nil && errs[s.id] == nil {
 			errs[s.id] = err
 		}
 	}
