@@ -75,21 +75,19 @@ type hotspotResult struct {
 	elapsed     sim.Duration
 	rejects     uint64
 	retransmits uint64
-	maxQueue    int
 	pktsPerDMA  float64 // receiver's average packets per host-DMA transfer
 }
 
 // hotspot drives `senders` nodes streaming at one receiver (node 0)
 // that spends recvDelay per message — the workload incast pattern
 // generates the traffic; the receiver stays hand-built because the
-// studies sample receive-path internals (queue depth, rejects, host-DMA
-// batching) no generic driver exposes.
+// studies read receive-path counters (rejects, host-DMA batching) no
+// generic driver exposes.
 func hotspot(cfg core.Config, p *cost.Params, senders, packets, size int, recvDelay sim.Duration) hotspotResult {
 	c := cluster.NewFM(senders+1, cfg.WithFrame(size), p)
 	pattern := workload.Incast{Target: 0, Packets: packets}
 	total := workload.Total(pattern, senders+1)
 	got := 0
-	maxQ := 0
 	c.Start(0, func(ep *core.Endpoint) {
 		ep.RegisterHandler(0, func(int, []byte) {
 			got++
@@ -99,9 +97,6 @@ func hotspot(cfg core.Config, p *cost.Params, senders, packets, size int, recvDe
 		})
 		for got < total {
 			ep.WaitIncoming()
-			if q := c.Devs[0].HostRecvQ.Len(); q > maxQ {
-				maxQ = q
-			}
 			ep.Extract()
 		}
 		ep.Extract()
@@ -131,7 +126,6 @@ func hotspot(cfg core.Config, p *cost.Params, senders, packets, size int, recvDe
 	res := hotspotResult{
 		elapsed:    sim.Duration(c.K.Now()),
 		rejects:    c.EPs[0].Stats().RejectsSent,
-		maxQueue:   maxQ,
 		pktsPerDMA: float64(st.HostDMAPackets) / float64(st.HostDMABatches),
 	}
 	for s := 1; s <= senders; s++ {

@@ -136,9 +136,6 @@ type Curve struct {
 	Lat  []metrics.LatPoint
 	BW   []metrics.BWPoint
 	Fit  metrics.Fit
-	// RefRInf, when set, is the externally supplied r_inf used for this
-	// curve's n1/2 (the API methodology, footnote 3).
-	RefRInf float64
 }
 
 // Row is one Table 4 line: measured metrics next to the paper's.

@@ -60,7 +60,7 @@ func apiMaker(v myriapi.Variant, p *cost.Params) pairMaker {
 // for n1/2 (the API methodology).
 func sweepCurve(name string, sizes []int, opt Options, withLat bool, refR float64,
 	bw func(size int) metrics.BWPoint, lat func(size int) metrics.LatPoint) Curve {
-	c := Curve{Name: name, RefRInf: refR}
+	c := Curve{Name: name}
 	c.BW = make([]metrics.BWPoint, len(sizes))
 	if withLat {
 		c.Lat = make([]metrics.LatPoint, len(sizes))

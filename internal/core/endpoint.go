@@ -56,7 +56,6 @@ type Endpoint struct {
 	// Send side.
 	nextSeq            uint64
 	outstanding        map[uint64]int // seq -> destination
-	outPerDst          map[int]int    // per-destination outstanding (SlidingWindow)
 	rejectQ            *ring.Ring[rejectedEntry]
 	cachedSendConsumed uint64 // host's cached copy of the LANai's counter
 	cachedOutConsumed  uint64 // all-DMA staging equivalent
@@ -67,11 +66,11 @@ type Endpoint struct {
 	pendingAcks  map[int][]uint64 // src -> accepted seqs not yet acked
 	seqBufs      [][]uint64       // free list of pending-ack buffers
 	ackSrcs      []int            // flushAcks scratch, reused per call
-	consumed     uint64           // packets popped from the host receive queue
-	consumedSync uint64           // last value pushed to the LANai register
+	consumedSync uint64           // last HostRecvQ.Consumed() pushed to the LANai register
 
-	// Exactly-once screen (CheckInvariants) / duplicate counting.
-	seen map[int]map[uint64]bool
+	// Exactly-once screen (CheckInvariants) / duplicate counting: one
+	// entry per delivered frame, whatever its source.
+	seen map[seenKey]struct{}
 
 	stats Stats
 }
@@ -87,9 +86,8 @@ func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.P
 		p:           p,
 		handlers:    make([]Handler, cfg.MaxHandlers),
 		outstanding: make(map[uint64]int),
-		outPerDst:   make(map[int]int),
 		pendingAcks: make(map[int][]uint64),
-		seen:        make(map[int]map[uint64]bool),
+		seen:        make(map[seenKey]struct{}),
 	}
 	return ep
 }
@@ -176,7 +174,6 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 		ep.nextSeq++
 		pkt.Seq = ep.nextSeq
 		ep.outstanding[pkt.Seq] = dst
-		ep.outPerDst[dst]++
 		if ep.cfg.PiggybackAcks {
 			ep.attachAcks(pkt)
 		}
@@ -216,10 +213,17 @@ func (ep *Endpoint) waitWindow(dst int) {
 	}
 }
 
-// windowFull reports whether another send toward dst must wait.
+// windowFull reports whether another send toward dst must wait. The
+// sliding window counts dst's entries in outstanding.
 func (ep *Endpoint) windowFull(dst int) bool {
 	if ep.cfg.Protocol == SlidingWindow {
-		return ep.outPerDst[dst] >= ep.cfg.WindowPerDest
+		n := 0
+		for _, d := range ep.outstanding {
+			if d == dst {
+				n++
+			}
+		}
+		return n >= ep.cfg.WindowPerDest
 	}
 	return len(ep.outstanding) >= ep.cfg.WindowSlots
 }

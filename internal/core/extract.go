@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"fm/internal/myrinet"
@@ -65,7 +66,6 @@ func (ep *Endpoint) HasIncoming() bool { return !ep.dev.HostRecvQ.Empty() }
 // per-packet host costs.
 func (ep *Endpoint) popRecv() *myrinet.Packet {
 	pkt := ep.dev.HostRecvQ.Pop()
-	ep.consumed++
 	ep.cpu.Advance(ep.p.HostExtractPacket)
 	if ep.cfg.BufferMgmt {
 		ep.cpu.Advance(ep.p.HostBufMgmtRecv)
@@ -106,7 +106,6 @@ func (ep *Endpoint) process(pkt *myrinet.Packet) bool {
 		ep.stats.RejectsReceived++
 		pkt.Src, pkt.Dst = ep.NodeID(), pkt.Src
 		pkt.Type = myrinet.Retransmit
-		pkt.Retries++
 		pkt.Acks = pkt.Acks[:0] // consumed above; attachAcks may refill
 		ep.requeue(pkt)
 		return false
@@ -136,7 +135,6 @@ func (ep *Endpoint) requeueBounced(pkt *myrinet.Packet) bool {
 	}
 	pkt.Bounced = false
 	pkt.OrigType = 0
-	pkt.Retries++
 	ep.requeue(pkt)
 	return false
 }
@@ -188,19 +186,26 @@ func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 	ep.release(pkt)
 }
 
+// seenKey is one delivered frame's (source, seq) in the exactly-once
+// screen. Two 32-bit halves keep the key at 8 bytes: the screen holds
+// one key per frame a node receives.
+type seenKey struct{ src, seq uint32 }
+
 // isDuplicate screens (src, seq) pairs. Under the protocol duplicates are
 // impossible (a packet is either accepted or rejected, never both, and
 // the network is reliable); the screen exists to verify that invariant.
+// A source or seq past 32 bits would alias another frame's key, so it
+// fails by name instead.
 func (ep *Endpoint) isDuplicate(pkt *myrinet.Packet) bool {
-	m := ep.seen[pkt.Src]
-	if m == nil {
-		m = make(map[uint64]bool)
-		ep.seen[pkt.Src] = m
+	if uint64(pkt.Src) > math.MaxUint32 || pkt.Seq > math.MaxUint32 {
+		panic(fmt.Sprintf("fm: frame src=%d seq=%d on node %d does not fit the duplicate screen's key: source and seq are each limited to 32 bits (%d)",
+			pkt.Src, pkt.Seq, ep.NodeID(), uint32(math.MaxUint32)))
 	}
-	if m[pkt.Seq] {
+	key := seenKey{src: uint32(pkt.Src), seq: uint32(pkt.Seq)}
+	if _, ok := ep.seen[key]; ok {
 		return true
 	}
-	m[pkt.Seq] = true
+	ep.seen[key] = struct{}{}
 	return false
 }
 
@@ -209,10 +214,7 @@ func (ep *Endpoint) processAcks(ranges []myrinet.SeqRange) {
 	ep.cpu.Advance(ep.p.HostFlowControlRecv)
 	for _, r := range ranges {
 		for s := r.Lo; s <= r.Hi; s++ {
-			if dst, ok := ep.outstanding[s]; ok {
-				delete(ep.outstanding, s)
-				ep.outPerDst[dst]--
-			}
+			delete(ep.outstanding, s)
 		}
 	}
 }
@@ -311,15 +313,16 @@ func (ep *Endpoint) sendAck(src int) {
 // SBus control write; the vestigial layer updates for free (its cost is
 // exactly what Fig. 7 measures).
 func (ep *Endpoint) syncConsumed() {
-	if ep.consumed == ep.consumedSync {
+	consumed := ep.dev.HostRecvQ.Consumed() // the endpoint is the ring's only consumer
+	if consumed == ep.consumedSync {
 		return
 	}
 	if ep.cfg.BufferMgmt {
-		if ep.consumed-ep.consumedSync < consumedSyncBatch && !ep.dev.HostRecvQ.Empty() {
+		if consumed-ep.consumedSync < consumedSyncBatch && !ep.dev.HostRecvQ.Empty() {
 			return
 		}
 		ep.cpu.ControlWrite()
 	}
-	ep.consumedSync = ep.consumed
-	ep.dev.HostUpdateRecvConsumed(ep.consumed)
+	ep.consumedSync = consumed
+	ep.dev.HostUpdateRecvConsumed(consumed)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"fm/internal/cluster"
@@ -148,60 +149,104 @@ func TestBouncedAckResentAsAck(t *testing.T) {
 	}
 }
 
-// TestDuplicateDeliveryScreened forges a wire-level duplicate — the same
-// (src, seq) delivered twice — and checks the endpoint's screen drops it:
-// the handler runs once, Duplicates counts one. Under the real protocol
-// duplicates cannot happen (a frame is accepted or rejected, never both),
-// so the screen can only be exercised by injecting one by hand.
+// TestDuplicateDeliveryScreened forges wire-level duplicates — the same
+// (src, seq) delivered twice — and checks the endpoint's screen drops
+// them: each source's handler runs once, Duplicates counts each forged
+// copy. Two senders each open with seq 1 into node 1, so a screen keyed
+// on seq alone would also drop the second sender's original. Under the
+// real protocol duplicates cannot happen (a frame is accepted or
+// rejected, never both), so the screen can only be exercised by
+// injecting them by hand.
 func TestDuplicateDeliveryScreened(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.CheckInvariants = false // the forged duplicate must count, not panic
+	cfg.CheckInvariants = false // the forged duplicates must count, not panic
 	p := cost.Default()
-	c := cluster.NewFM(2, cfg, p)
+	c := cluster.NewFM(3, cfg, p)
 
-	// Forge a second copy of the first message (seq 1) from node 0 well after the original
-	// has been delivered and acknowledged.
+	// Forge a second copy of each sender's first message (seq 1) well
+	// after the originals have been delivered and acknowledged.
+	senders := []int{0, 2}
 	fab := c.Fab
-	c.K.AtArg(sim.Time(200*sim.Microsecond), func(any) {
+	for i, src := range senders {
+		c.K.AtArg(sim.Time(200*sim.Microsecond+sim.Duration(i)*10*sim.Microsecond), func(any) {
+			pkt := fab.NewPacket()
+			pkt.Src, pkt.Dst = src, 1
+			pkt.Type = myrinet.Retransmit
+			pkt.Handler = 0
+			pkt.Seq = 1 // ep.Send assigns 1 to the first packet
+			pkt.HeaderBytes = p.FMHeaderBytes
+			pkt.SetPayload(make([]byte, 16))
+			fab.Inject(pkt)
+		}, nil)
+	}
+
+	recv := map[int]int{}
+	c.Start(1, func(ep *core.Endpoint) {
+		ep.RegisterHandler(0, func(src int, payload []byte) { recv[src]++ })
+		// Serve the originals, then stay alive past the forged copies.
+		for len(recv) < len(senders) {
+			ep.WaitIncoming()
+			ep.Extract()
+		}
+		settlePoll(ep, sim.Time(300*sim.Microsecond))
+	})
+	for _, src := range senders {
+		c.Start(src, func(ep *core.Endpoint) {
+			ep.Send4(1, 0, 7, 0, 0, 0)
+			for ep.Outstanding() > 0 {
+				ep.WaitIncoming()
+				ep.Extract()
+			}
+			settlePoll(ep, sim.Time(300*sim.Microsecond))
+		})
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range senders {
+		if recv[src] != 1 {
+			t.Errorf("handler ran %d times for source %d, want exactly once", recv[src], src)
+		}
+	}
+	rst := c.EPs[1].Stats()
+	if rst.Duplicates != 2 {
+		t.Fatalf("Duplicates = %d, want both forged copies screened", rst.Duplicates)
+	}
+	if rst.Delivered != 2 {
+		t.Fatalf("Delivered = %d, want 2", rst.Delivered)
+	}
+}
+
+// TestScreenKeyLimit forges a frame whose seq does not fit the screen's
+// 32-bit half: truncating it into the key would alias another frame's
+// key, so the run must fail and name the limit instead.
+func TestScreenKeyLimit(t *testing.T) {
+	p := cost.Default()
+	c := cluster.NewFM(2, core.DefaultConfig(), p)
+	fab := c.Fab
+	c.K.AtArg(sim.Time(10*sim.Microsecond), func(any) {
 		pkt := fab.NewPacket()
 		pkt.Src, pkt.Dst = 0, 1
-		pkt.Type = myrinet.Retransmit
-		pkt.Handler = 0
-		pkt.Seq = 1 // ep.Send assigns 1 to the first packet
+		pkt.Type = myrinet.Data
+		pkt.Seq = 1 << 32
 		pkt.HeaderBytes = p.FMHeaderBytes
 		pkt.SetPayload(make([]byte, 16))
 		fab.Inject(pkt)
 	}, nil)
-
 	recv := 0
 	c.Start(1, func(ep *core.Endpoint) {
-		ep.RegisterHandler(0, func(src int, payload []byte) { recv++ })
-		// Serve the original, then stay alive past the forged copy.
+		ep.RegisterHandler(0, func(int, []byte) { recv++ })
 		for recv < 1 {
 			ep.WaitIncoming()
 			ep.Extract()
 		}
-		settlePoll(ep, sim.Time(300*sim.Microsecond))
 	})
-	c.Start(0, func(ep *core.Endpoint) {
-		ep.Send4(1, 0, 7, 0, 0, 0)
-		for ep.Outstanding() > 0 {
-			ep.WaitIncoming()
-			ep.Extract()
-		}
-		settlePoll(ep, sim.Time(300*sim.Microsecond))
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
+	err := c.Run()
+	const want = "does not fit the duplicate screen's key"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run() = %v, want a failure naming %q (handler ran %d times)", err, want, recv)
 	}
-	if recv != 1 {
-		t.Fatalf("handler ran %d times, want exactly once", recv)
-	}
-	rst := c.EPs[1].Stats()
-	if rst.Duplicates != 1 {
-		t.Fatalf("Duplicates = %d, want the forged copy screened", rst.Duplicates)
-	}
-	if rst.Delivered != 1 {
-		t.Fatalf("Delivered = %d, want 1", rst.Delivered)
+	if recv != 0 {
+		t.Fatalf("handler ran %d times on a frame the screen cannot key", recv)
 	}
 }

@@ -96,9 +96,6 @@ type Device struct {
 	// HostRecvQ; the host refreshes it with an SBus control write so the
 	// LANai can compute free space without touching host memory.
 	HostRecvConsumed uint64
-	// delivered is the LANai-owned count of packets appended to
-	// HostRecvQ (including ones still in flight on the bus).
-	delivered uint64
 
 	// Work wakes the control program: pulsed on doorbells, arrivals, and
 	// engine completions.
@@ -192,10 +189,11 @@ func (d *Device) PopRx() *myrinet.Packet {
 }
 
 // HostRecvFree returns the LANai's (conservative) view of free host
-// receive queue slots, computed from its own delivery count and the
-// host-refreshed consumption register.
+// receive queue slots, computed from its own delivery count (which
+// includes packets still in flight on the bus) and the host-refreshed
+// consumption register.
 func (d *Device) HostRecvFree() int {
-	used := int(d.delivered - d.HostRecvConsumed)
+	used := int(d.stats.Delivered - d.HostRecvConsumed)
 	free := d.Cfg.HostRecvSlots - used
 	if free < 0 {
 		free = 0
@@ -221,7 +219,6 @@ func (d *Device) DeliverToHost(batch []*myrinet.Packet) sim.Time {
 	}
 	_, end := d.Bus.DMA(d.hostDMAFree, bytes)
 	d.hostDMAFree = end
-	d.delivered += uint64(len(batch))
 	d.stats.HostDMABatches++
 	d.stats.HostDMAPackets += uint64(len(batch))
 	d.stats.Delivered += uint64(len(batch))

@@ -18,8 +18,6 @@ type Status struct {
 // Request is a nonblocking operation handle. Requests complete in
 // whatever order their messages arrive — not necessarily post order.
 type Request struct {
-	comm *Comm
-	recv bool
 	done bool
 
 	// Posted receive envelope (may hold wildcards).
@@ -142,7 +140,7 @@ func (c *Comm) node(rank int) int {
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	c.checkUserTag(tag)
 	c.isend(dst, tag, data)
-	return &Request{comm: c, done: true}
+	return &Request{done: true}
 }
 
 // Send is the blocking tagged send (complete when the buffer is
@@ -212,7 +210,7 @@ func (c *Comm) irecv(src, tag int) *Request {
 		c.node(src) // validate
 	}
 	c.eng.ep.CPU().Advance(postCost)
-	req := &Request{comm: c, recv: true, src: src, tag: tag}
+	req := &Request{src: src, tag: tag}
 	// First, the unexpected queue, in arrival order (MPI matching
 	// order: the earliest matching message wins).
 	for i, m := range c.unexpected {

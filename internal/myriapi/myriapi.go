@@ -95,10 +95,8 @@ type Endpoint struct {
 	p   *cost.Params
 
 	handlers  []func(src int, payload []byte)
-	nextSeq   uint64
+	nextSeq   uint64         // sends so far; also paces remap housekeeping
 	expectSeq map[int]uint64 // per-source in-order enforcement
-	sends     uint64         // for remap housekeeping
-	consumed  uint64
 }
 
 // New creates an endpoint; the caller starts the LCP with
@@ -136,15 +134,14 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 	ep.cpu.StatusRead()
 
 	// Continuous automatic remapping (Table 3): periodic housekeeping.
-	ep.sends++
-	if ep.p.APIRemapEvery > 0 && ep.sends%uint64(ep.p.APIRemapEvery) == 0 {
+	ep.nextSeq++
+	if ep.p.APIRemapEvery > 0 && ep.nextSeq%uint64(ep.p.APIRemapEvery) == 0 {
 		ep.cpu.Advance(ep.p.APIRemapCost)
 	}
 
 	// Message checksum over the payload (Table 3: fault detection).
 	ep.cpu.Advance(sim.Duration(len(payload)) * ep.p.APIChecksumByte)
 
-	ep.nextSeq++
 	pkt := ep.dev.Fab.NewPacket()
 	pkt.Src, pkt.Dst = ep.NodeID(), dst
 	pkt.Type = myrinet.APIMessage
@@ -200,7 +197,6 @@ func (ep *Endpoint) Extract() int {
 	n := 0
 	for !ep.dev.HostRecvQ.Empty() {
 		pkt := ep.dev.HostRecvQ.Pop()
-		ep.consumed++
 		ep.cpu.Advance(ep.p.APIRecvFixed)
 		// Verify the checksum over the payload.
 		ep.cpu.Advance(sim.Duration(len(pkt.Payload)) * ep.p.APIChecksumByte)
@@ -215,7 +211,7 @@ func (ep *Endpoint) Extract() int {
 		// Return the buffer pointer to the LANai (frequent, expensive
 		// synchronization — the paper's core criticism).
 		ep.cpu.ControlWrite()
-		ep.dev.HostUpdateRecvConsumed(ep.consumed)
+		ep.dev.HostUpdateRecvConsumed(ep.dev.HostRecvQ.Consumed())
 
 		h := ep.handlers[pkt.Handler]
 		if h == nil {

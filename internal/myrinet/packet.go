@@ -77,9 +77,6 @@ type Packet struct {
 	// latency accounting across retransmissions.
 	Injected sim.Time
 
-	// Retries counts how many times return-to-sender has resent it.
-	Retries int
-
 	// Bounced marks a frame the fabric itself turned around at a failed
 	// component (dead link or switch, loss burst, down destination): the
 	// fabric flips it into a Reject aimed back at its sender, and the

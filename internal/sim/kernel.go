@@ -33,6 +33,12 @@ type Kernel struct {
 	procs []*Proc
 
 	eventsRun uint64
+
+	// Padding to 256 bytes, a size class of whole 64-byte cache lines,
+	// so kernels allocated back to back (a shard group's) never share a
+	// line: each shard's goroutine writes now, seq and eventsRun on
+	// every event.
+	_ [16]byte
 }
 
 // NewKernel returns a kernel with the clock at zero and no pending events.

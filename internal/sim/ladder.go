@@ -145,14 +145,13 @@ type ladder struct {
 	rungs []*rung // live rungs, coarsest first, finest (earliest) last
 	spare []*rung // recycled rungs, buckets kept for capacity reuse
 
-	top          []event
-	topMin       Time
-	topMax       Time
-	count        int
-	transfers    uint64 // bucket-to-near transfers (stats/tests)
-	splits       uint64 // lazy bucket splits (stats/tests)
-	spills       uint64 // near-tier overflow spills (stats/tests)
-	topRebuckets uint64 // top-to-rung rebucketings (stats/tests)
+	top       []event
+	topMin    Time
+	topMax    Time
+	count     int
+	transfers uint64 // bucket-to-near transfers (stats/tests)
+	splits    uint64 // lazy bucket splits (stats/tests)
+	spills    uint64 // near-tier overflow spills (stats/tests)
 }
 
 // Len returns the number of pending events.
@@ -444,7 +443,6 @@ func (q *ladder) refill() {
 		if len(q.top) > 0 {
 			// Rungs ran dry: bucket the overflow list into a fresh
 			// coarsest rung spanning its actual population.
-			q.topRebuckets++
 			r := q.newRung(q.topMin, q.topMax, MaxTime)
 			for _, e := range q.top {
 				r.add(e)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // --- Step/Finish refactor ---
@@ -368,5 +369,17 @@ func TestShardProcessFailureSurfaces(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "doomed") {
 		t.Fatalf("error does not name the failed process: %v", err)
+	}
+}
+
+// TestKernelFillsWholeCacheLines: a shard group allocates its kernels
+// back to back, and each shard's goroutine writes its kernel's clock,
+// seq and event count on every event. A kernel whose size is not a
+// multiple of the cache line shares a line with its neighbour: a
+// 240-byte kernel cost the 2048-node raw all-to-all on two shards 7-15%
+// more CPU.
+func TestKernelFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Kernel{}); size%64 != 0 {
+		t.Fatalf("Kernel is %d bytes, not a multiple of 64: adjust its trailing padding", size)
 	}
 }
