@@ -157,11 +157,12 @@ func BenchmarkWorkloadDrive(b *testing.B) {
 
 // BenchmarkShardedDrive runs the same 64-node Clos uniform-random drive
 // as BenchmarkWorkloadDrive split across 2 shard kernels: the sharded
-// engine's whole extra surface — replica fabrics, outbox/inbox exchange,
-// the barrier coordinator — on top of the single-kernel hot path.
-// Gated alongside it so a pooling regression in the cross-shard path
-// (per-shard packet pools, reused inbox buffers) shows up in allocs/op.
-// Baseline numbers live in BENCH_pr6.json.
+// engine's whole extra surface — replica fabrics, the double-buffered
+// outboxes each destination drains, the barrier coordinator — on top
+// of the single-kernel hot path. Gated alongside it so a pooling
+// regression in the cross-shard path (per-shard packet pools, reused
+// outbox buffers) shows up in allocs/op. Baseline numbers live in
+// BENCH_pr6.json and BENCH_pr9.json.
 func BenchmarkShardedDrive(b *testing.B) {
 	b.ReportAllocs()
 	p := cost.Default()

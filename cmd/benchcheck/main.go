@@ -10,8 +10,8 @@
 //
 // Wall-clock ns/op is deliberately not gated — CI machines vary too
 // much — but allocs/op and B/op are close to repeatable. The widest
-// spread is BenchmarkShardedDrive's, 6,132-6,133 allocs/op and
-// 783,341-783,576 B/op, because the runtime allocates a descriptor for
+// spread is BenchmarkShardedDrive's, 5,983-5,984 allocs/op and
+// 776,308-776,516 B/op, because the runtime allocates a descriptor for
 // one of its two shard goroutines only when no exited one is free; the
 // others' B/op moves by up to about 110 bytes. The default x1.25
 // threshold absorbs that spread, so any growth beyond it is a real

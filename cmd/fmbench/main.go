@@ -161,7 +161,7 @@ func newFlagSet(c *config, r map[string][]string) *flag.FlagSet {
 	fs.Var(count{&o.Packets}, "packets", "stream `N` packets per bandwidth point")
 	fs.Var(count{&o.Rounds}, "rounds", "`N` ping-pong rounds per latency point")
 	fs.Var(count{&o.Workers}, "workers", "run `N` measurement simulations at once (output is identical at any value)")
-	fs.Var(count{&o.Shards}, "shards", "split each simulation across `N` shard kernels (1 = the single kernel)")
+	fs.Var(count{&o.Shards}, "shards", "split each simulation across `N` shard kernels (1 = the single kernel; a raw all-to-all still runs slower on two than on one)")
 	fs.Var(count{&o.FabricNodes}, "fabric-nodes", "`N` nodes for the fabric comparison")
 	fs.Var(count{&o.PatternNodes}, "pattern-nodes", "`N` nodes for the pattern sweep")
 	fs.Func("scale-nodes", "the scale sweep's node counts, a comma-separated `list` (default "+joined(o.ScaleNodes)+")", func(s string) (err error) {

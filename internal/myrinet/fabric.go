@@ -402,7 +402,8 @@ func (f *Fabric) forward(p *Packet, route []hop, i int, eligible sim.Time, wire 
 // byte-identical to resuming the original. Under faults the fresh
 // resolution is what reroutes a mid-flight packet around a component
 // that died after injection. The signature matches the kernel's
-// argument-event form so the shard exchange can schedule it directly.
+// argument-event form so the owning shard's drain can schedule it
+// directly.
 func (f *Fabric) ResumeCross(a any) {
 	p := a.(*Packet)
 	f.stats.CrossResumed++

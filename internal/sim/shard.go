@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -16,31 +15,35 @@ import (
 // Every barrier round:
 //
 //  1. The coordinator picks T, the earliest pending instant across all
-//     shards, and sets the window horizon to T+window-1.
-//  2. Every shard with work inside the window runs its kernel up to the
-//     horizon on its own goroutine (Kernel.Step), accumulating
-//     cross-shard posts in per-destination outboxes.
-//  3. At the barrier the outboxes are exchanged: each destination's
-//     inbox is sorted by (at, source shard, post seq) and scheduled
-//     into its kernel in that order.
+//     shards (queued in a kernel, or posted in the last round), and sets
+//     the window horizon to T+window-1.
+//  2. Every shard with an event inside the window or posts to drain runs
+//     on its own goroutine: it drains the last round's posts to it into
+//     its kernel, source shard by source shard in post order, then steps
+//     its kernel to the horizon (Kernel.Step) if it has an event inside
+//     the window, posting to other shards into this round's outboxes.
 //
-// Lookahead makes step 2 safe — no event inside [T, T+window) can be
-// created by another shard during the round, because posts land at
-// >= now+window > horizon. The merge order in step 3 makes the whole
-// run deterministic: inbox events are assigned local seq numbers in a
-// canonical order that does not depend on goroutine scheduling, so
-// every kernel pops its queue in exactly the same (at, seq) order on
-// every run, at any host parallelism.
+// Outboxes are double-buffered by round parity, so no box is filled and
+// drained in one round. Lookahead makes step 2 safe: posts land at
+// >= now+window > horizon, inside no running window. The drain is the
+// canonical (at, source shard, post seq) order without a sort, so runs
+// are deterministic: seq orders only same-instant events, source-major
+// post order is that order, and the drain takes one seq per post.
 
-// xevent is one cross-shard post buffered in an outbox between
-// barriers: an event plus the (source shard, post sequence) pair that
-// canonically orders same-instant boundary events during the merge.
+// xevent is one cross-shard post buffered in an outbox.
 type xevent struct {
 	at  Time
-	src int
-	seq uint64
 	fn  func(any)
 	arg any
+}
+
+// outbox holds one source's posts to one destination in one round and
+// their earliest instant, on a cache line of its own: other shards
+// drain the boxes beside it while the source appends to it.
+type outbox struct {
+	ev    []xevent
+	first Time
+	_     [32]byte
 }
 
 // ShardStats reports one shard's share of a ShardGroup run.
@@ -49,10 +52,10 @@ type ShardStats struct {
 	Events uint64
 	// Posted counts cross-shard events this shard sent.
 	Posted uint64
-	// Windows counts barrier rounds in which the shard had work.
+	// Windows counts barrier rounds in which the shard ran events.
 	Windows uint64
-	// Busy is the wall-clock time the shard's goroutine spent running
-	// its kernel (not waiting at barriers).
+	// Busy is the wall-clock time the shard's goroutine spent draining
+	// posts and running its kernel (not waiting at barriers).
 	Busy time.Duration
 }
 
@@ -61,10 +64,10 @@ type Shard struct {
 	g   *ShardGroup
 	id  int
 	k   *Kernel
-	out [][]xevent // per-destination outbox, drained at each barrier
-	seq uint64     // post sequence, monotone across the run
+	out [2][]outbox // [round parity][destination]
 
 	stats ShardStats
+	_     [24]byte // to 128 bytes: Post writes stats.Posted per event
 }
 
 // Kernel returns the shard's kernel. Model construction schedules on it
@@ -74,10 +77,10 @@ func (s *Shard) Kernel() *Kernel { return s.k }
 
 // Post schedules fn(arg) at absolute time at on shard dst. Posts to the
 // shard itself schedule directly; posts to another shard are buffered
-// in the outbox and delivered at the next barrier. A cross-shard post
-// closer than one lookahead window violates the conservative-execution
-// contract and panics: the destination may already have simulated past
-// that instant.
+// in an outbox, which dst drains at the start of the next round. A
+// cross-shard post closer than one lookahead window violates the
+// conservative-execution contract and panics: the destination may
+// already have simulated past that instant.
 func (s *Shard) Post(dst int, at Time, fn func(any), arg any) {
 	if dst == s.id {
 		s.k.AtArg(at, fn, arg)
@@ -87,33 +90,65 @@ func (s *Shard) Post(dst int, at Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: shard %d posted to shard %d at %v, under the %v lookahead window (now %v)",
 			s.id, dst, at, s.g.window, s.k.now))
 	}
-	s.seq++
 	s.stats.Posted++
-	s.out[dst] = append(s.out[dst], xevent{at: at, src: s.id, seq: s.seq, fn: fn, arg: arg})
+	b := &s.out[s.g.parity][dst]
+	if len(b.ev) == 0 || at < b.first {
+		b.first = at
+	}
+	b.ev = append(b.ev, xevent{at: at, fn: fn, arg: arg})
+}
+
+// drain schedules the posts addressed to s in the parity boxes, source
+// shard by source shard in post order, and empties those boxes.
+func (s *Shard) drain(parity int) {
+	for _, src := range s.g.shards {
+		b := &src.out[parity][s.id]
+		for i := range b.ev {
+			s.k.AtArg(b.ev[i].at, b.ev[i].fn, b.ev[i].arg)
+		}
+		clear(b.ev) // drop the fn/arg references
+		b.ev = b.ev[:0]
+	}
+}
+
+// pending returns the earliest instant pending for s, queued in its
+// kernel or posted to it in the parity boxes (ok false: none), and
+// whether it has posts to drain.
+func (s *Shard) pending(parity int) (at Time, ok, posts bool) {
+	at, ok = s.k.NextEventAt()
+	for _, src := range s.g.shards {
+		if b := &src.out[parity][s.id]; len(b.ev) > 0 {
+			if posts = true; !ok || b.first < at {
+				at, ok = b.first, true
+			}
+		}
+	}
+	return at, ok, posts
 }
 
 // ShardGroup coordinates n shard kernels through windowed barriers.
 type ShardGroup struct {
 	window Duration
+	parity int // outbox parity the running round's posts fill
 	shards []*Shard
-
-	inbox []xevent // merge scratch, reused across barriers
 }
 
 // NewShardGroup creates n shards with the given lookahead window. The
 // window must be positive when n > 1: it is the guarantee that makes
 // running the shards concurrently safe.
 func NewShardGroup(n int, window Duration) *ShardGroup {
-	if n < 1 {
+	switch {
+	case n < 1:
 		panic(fmt.Sprintf("sim: shard group needs at least one shard, got %d", n))
-	}
-	if n > 1 && window <= 0 {
+	case n == 1:
+		return GroupOf(NewKernel()) // a lone shard only posts to itself
+	case window <= 0:
 		panic(fmt.Sprintf("sim: %d shards need a positive lookahead window, got %v", n, window))
 	}
 	g := &ShardGroup{window: window}
 	for i := 0; i < n; i++ {
-		s := &Shard{g: g, id: i, k: NewKernel(), out: make([][]xevent, n)}
-		g.shards = append(g.shards, s)
+		box := make([]outbox, 2*n)
+		g.shards = append(g.shards, &Shard{g: g, id: i, k: NewKernel(), out: [2][]outbox{box[:n], box[n:]}})
 	}
 	return g
 }
@@ -123,7 +158,7 @@ func NewShardGroup(n int, window Duration) *ShardGroup {
 // one.
 func GroupOf(k *Kernel) *ShardGroup {
 	g := &ShardGroup{}
-	g.shards = []*Shard{{g: g, k: k, out: make([][]xevent, 1)}}
+	g.shards = []*Shard{{g: g, k: k}}
 	return g
 }
 
@@ -182,7 +217,6 @@ func (g *ShardGroup) Run() error {
 	// same propagation a single-kernel Run gives its caller.
 	panics := make([]any, n)
 	for _, s := range g.shards {
-		s := s
 		go func() {
 			for horizon := range start[s.id] {
 				began := time.Now()
@@ -192,10 +226,13 @@ func (g *ShardGroup) Run() error {
 							panics[s.id] = r
 						}
 					}()
-					errs[s.id] = s.k.Step(horizon)
+					s.drain(g.parity ^ 1)
+					if at, ok := s.k.NextEventAt(); ok && at <= horizon {
+						s.stats.Windows++
+						errs[s.id] = s.k.Step(horizon)
+					}
 				}()
 				s.stats.Busy += time.Since(began)
-				s.stats.Windows++
 				done <- s.id
 			}
 		}()
@@ -210,12 +247,13 @@ func (g *ShardGroup) Run() error {
 	for {
 		// Pick the next window: [T, T+window) from the earliest pending
 		// instant anywhere.
+		posted := g.parity
 		var (
 			base Time
 			any  bool
 		)
 		for _, s := range g.shards {
-			if at, ok := s.k.NextEventAt(); ok && (!any || at < base) {
+			if at, ok, _ := s.pending(posted); ok && (!any || at < base) {
 				base, any = at, true
 			}
 		}
@@ -227,11 +265,13 @@ func (g *ShardGroup) Run() error {
 			horizon = MaxTime
 		}
 
-		// Dispatch every shard with work inside the window; the rest
-		// keep their clocks parked and cost nothing this round.
+		// Dispatch every shard with work inside the window or posts to
+		// drain; the rest keep their clocks parked and cost nothing this
+		// round. A shard that only drains counts no window.
+		g.parity ^= 1
 		dispatched := 0
 		for _, s := range g.shards {
-			if at, ok := s.k.NextEventAt(); ok && at <= horizon {
+			if at, ok, posts := s.pending(posted); posts || ok && at <= horizon {
 				start[s.id] <- horizon
 				dispatched++
 			}
@@ -248,15 +288,14 @@ func (g *ShardGroup) Run() error {
 		if failed {
 			break
 		}
-		g.exchange()
 	}
 
 	// Teardown in shard order keeps process unwinding deterministic. It
 	// covers a shard whose callback panicked too, before the panic is
 	// re-raised, as RunAll does for a single kernel. Cross-shard posts
-	// buffered by a failed round are dropped — their destinations never
-	// advance to them, exactly as a single kernel abandons its queue
-	// beyond the failure.
+	// buffered by a failed round are never drained — their destinations
+	// never advance to them, exactly as a single kernel abandons its
+	// queue beyond the failure.
 	for _, s := range g.shards {
 		s.stats.Events = s.k.EventsRun()
 		if err := s.k.finish(!failed); err != nil && errs[s.id] == nil {
@@ -274,45 +313,4 @@ func (g *ShardGroup) Run() error {
 		}
 	}
 	return nil
-}
-
-// exchange runs one barrier: every outbox drains into its destination
-// kernel in the canonical (at, source shard, post seq) order, which
-// assigns boundary events their local seq numbers deterministically.
-func (g *ShardGroup) exchange() {
-	for _, dst := range g.shards {
-		in := g.inbox[:0]
-		for _, src := range g.shards {
-			box := src.out[dst.id]
-			in = append(in, box...)
-			clearX(box)
-			src.out[dst.id] = box[:0]
-		}
-		if len(in) == 0 {
-			continue
-		}
-		sort.Slice(in, func(a, b int) bool {
-			x, y := &in[a], &in[b]
-			if x.at != y.at {
-				return x.at < y.at
-			}
-			if x.src != y.src {
-				return x.src < y.src
-			}
-			return x.seq < y.seq
-		})
-		for i := range in {
-			dst.k.AtArg(in[i].at, in[i].fn, in[i].arg)
-		}
-		clearX(in)
-		g.inbox = in[:0]
-	}
-}
-
-// clearX zeroes a drained xevent slice so buffered fn/arg references do
-// not pin their objects until the slice is next overwritten.
-func clearX(box []xevent) {
-	for i := range box {
-		box[i] = xevent{}
-	}
 }

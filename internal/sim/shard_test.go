@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -279,6 +280,135 @@ func TestShardGroupDeterministic(t *testing.T) {
 	}
 }
 
+// snapToGrid rounds every spec's instant up to a multiple of grid. With
+// the window a multiple of grid the DAG keeps its constraints (a child
+// at or after its parent, a cross-shard child at least a window after
+// it), and far more events share an instant.
+func snapToGrid(specs []specEvent, grid Duration) {
+	g := Time(grid)
+	for i := range specs {
+		specs[i].at = (specs[i].at + g - 1) / g * g
+	}
+}
+
+// traceHash hashes every shard's trace in shard order.
+func traceHash(traces [][]rec) uint64 {
+	h := fnv.New64a()
+	for s, tr := range traces {
+		fmt.Fprintf(h, "shard %d:", s)
+		for _, r := range tr {
+			fmt.Fprintf(h, " %d@%d", r.label, r.at)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestShardSourceOrderPinned pins the order in which a shard runs
+// same-instant posts from several source shards. Only groups of three
+// or more shards have a destination with more than one source, so the
+// DAGs here span 3-5 shards, with instants on a quarter-window grid so
+// that posts from different sources collide. The hashes were recorded
+// with the canonical (at, source shard, post seq) order.
+func TestShardSourceOrderPinned(t *testing.T) {
+	const window = Duration(1000)
+	want := []struct {
+		seed int64
+		hash uint64
+	}{
+		{200, 0x5c5b1fffef891bf3},
+		{201, 0xfa32440434309d76},
+		{202, 0xfe840f6be65b7226},
+		{203, 0xd96a3a3e20c2153f},
+		{204, 0xd339ffffba09b977},
+		{205, 0x38d6818098697ce9},
+		{206, 0xefb11c96d276692d},
+		{207, 0x35689a12ae7d9cec},
+		{208, 0xf4c28969ebfd8f77},
+		{209, 0x586341228ebffc72},
+		{210, 0x5975ff01f70eff0b},
+		{211, 0x0d173d942c4a7e2b},
+		{212, 0x0b76efdabde5db7a},
+		{213, 0xf76649022beaac90},
+		{214, 0x4399ed3eb115782e},
+		{215, 0x4ba832b971f383de},
+	}
+	for _, w := range want {
+		rng := rand.New(rand.NewSource(w.seed))
+		shards := 3 + rng.Intn(3)
+		specs := genSpecs(rng, shards, window, false)
+		snapToGrid(specs, window/4)
+		if got := traceHash(runSharded(t, specs, shards, window)); got != w.hash {
+			t.Errorf("seed %d (%d shards): trace hash %#x, want %#x", w.seed, shards, got, w.hash)
+		}
+	}
+}
+
+// TestShardSourcesRunInShardOrder: shards 0, 1 and 2 each post two
+// events to shard 3 at one instant, in the opposite order of virtual
+// time (shard 2 posts first). Shard 3 runs them by source shard, and
+// each source's in post order.
+func TestShardSourcesRunInShardOrder(t *testing.T) {
+	const window = Duration(1000)
+	g := NewShardGroup(4, window)
+	var got []string
+	record := func(a any) { got = append(got, a.(string)) }
+	for src := 0; src < 3; src++ {
+		sh := g.Shard(src)
+		sh.Kernel().AtArg(Time(300*(2-src)), func(any) {
+			sh.Post(3, 2000, record, fmt.Sprintf("%da", sh.id))
+			sh.Post(3, 2000, record, fmt.Sprintf("%db", sh.id))
+		}, nil)
+	}
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s, want := strings.Join(got, ","), "0a,0b,1a,1b,2a,2b"; s != want {
+		t.Fatalf("shard 3 ran %s, want %s", s, want)
+	}
+}
+
+// TestShardIdleDestination: shard 0 ticks through many windows and at
+// time 0 posts to shard 1, which has no event of its own, several
+// windows ahead; that event posts back. The post must run at its
+// instant, and shard 1 counts only the one window it ran events in.
+// The counters were recorded with the barrier-time merge into every
+// destination kernel.
+func TestShardIdleDestination(t *testing.T) {
+	const window = Duration(1000)
+	g := NewShardGroup(2, window)
+	sh0, sh1 := g.Shard(0), g.Shard(1)
+	var ranAt, backAt Time
+	back := func(any) { backAt = sh0.Kernel().Now() }
+	far := func(any) {
+		ranAt = sh1.Kernel().Now()
+		sh1.Post(0, ranAt.Add(2*window), back, nil)
+	}
+	var tick func(any)
+	tick = func(any) {
+		now := sh0.Kernel().Now()
+		if now == 0 {
+			sh0.Post(1, 5500, far, nil)
+		}
+		if now < 10000 {
+			sh0.Kernel().AtArg(now.Add(400), tick, nil)
+		}
+	}
+	sh0.Kernel().AtArg(0, tick, nil)
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ranAt != 5500 || backAt != 7500 {
+		t.Fatalf("posts ran at %v and %v, want 5.5ns and 7.5ns", ranAt, backAt)
+	}
+	want := []ShardStats{{Events: 27, Posted: 1, Windows: 9}, {Events: 1, Posted: 1, Windows: 1}}
+	for i, st := range g.Stats() {
+		st.Busy = 0
+		if st != want[i] {
+			t.Errorf("shard %d: %+v, want %+v", i, st, want[i])
+		}
+	}
+}
+
 // --- Processes across windows ---
 
 // TestShardProcsAcrossWindows runs sleeping processes on every shard
@@ -381,5 +511,17 @@ func TestShardProcessFailureSurfaces(t *testing.T) {
 func TestKernelFillsWholeCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(Kernel{}); size%64 != 0 {
 		t.Fatalf("Kernel is %d bytes, not a multiple of 64: adjust its trailing padding", size)
+	}
+}
+
+// TestShardFillsWholeCacheLines: shards are allocated back to back, and
+// each shard's goroutine writes its Posted count on every cross-shard
+// post, and its outbox headers beside the boxes other shards drain.
+func TestShardFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Shard{}); size%64 != 0 {
+		t.Fatalf("Shard is %d bytes, not a multiple of 64: adjust its trailing padding", size)
+	}
+	if size := unsafe.Sizeof(outbox{}); size != 64 {
+		t.Fatalf("outbox is %d bytes, not one 64-byte cache line: adjust its padding", size)
 	}
 }

@@ -65,7 +65,7 @@ func TestDriveRawShardedDeterministic(t *testing.T) {
 
 // TestShardedRawRegression pins the `-shards 2` outcome for the
 // fabrics-style Clos-64 all-to-all point, so any change to the barrier,
-// merge order, or partition assignment shows up as a diff here instead
+// drain order, or partition assignment shows up as a diff here instead
 // of silently shifting published numbers.
 func TestShardedRawRegression(t *testing.T) {
 	p := cost.Default()
