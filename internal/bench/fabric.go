@@ -51,6 +51,11 @@ func checkSpecs(opt Options, id, flag string, n int) error {
 		"compares crossbar, line and Clos fabrics; a crossbar is a single leaf group and a line links leaves directly, so neither partitions")
 }
 
+// framePayload is the payload of every multi-node experiment's
+// messages: 112 bytes plus the 16-byte FM header fill the paper's
+// 128-byte frame.
+const framePayload = 112
+
 // Fabrics regenerates the fabric-scaling comparison at opt.FabricNodes
 // nodes (default 64): aggregate all-to-all bandwidth and bisection
 // bandwidth for crossbar vs. line vs. Clos, plus the FM-layer all-to-all
@@ -58,7 +63,6 @@ func checkSpecs(opt Options, id, flag string, n int) error {
 func Fabrics(opt Options) *Report {
 	p := cost.Default()
 	n := fabricNodes(opt)
-	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	r := &Report{ID: "fabrics", Title: fmt.Sprintf("Fabric scaling at %d nodes", n)}
 
 	specs := workload.Specs(n)
@@ -66,11 +70,11 @@ func Fabrics(opt Options) *Report {
 		a2aBW, bisBW, a2aHops float64
 	}
 	results := mapN(opt.Workers, len(specs), func(i int) res {
-		a2a := workload.DriveRawSharded(specs[i], p, workload.AllToAll{Rounds: 2}, size, 1)
-		bis := workload.DriveRawSharded(specs[i], p, workload.Bisection{Packets: 32}, size, 1)
+		a2a := workload.DriveRawSharded(specs[i], p, workload.AllToAll{Rounds: 2}, framePayload, 1)
+		bis := workload.DriveRawSharded(specs[i], p, workload.Bisection{Packets: 32}, framePayload, 1)
 		return res{
-			a2aBW:   metrics.Bandwidth(size, a2a.Messages, a2a.Elapsed),
-			bisBW:   metrics.Bandwidth(size, bis.Messages, bis.Elapsed),
+			a2aBW:   metrics.Bandwidth(framePayload, a2a.Messages, a2a.Elapsed),
+			bisBW:   metrics.Bandwidth(framePayload, bis.Messages, bis.Elapsed),
 			a2aHops: a2a.MeanHops,
 		}
 	})
@@ -91,12 +95,12 @@ func Fabrics(opt Options) *Report {
 		)
 	}
 
-	fm := workload.DriveFM(workload.ClosSpec(n), core.DefaultConfig(), p, workload.AllToAll{Rounds: 1}, size)
+	fm := workload.DriveFM(workload.ClosSpec(n), core.DefaultConfig(), p, workload.AllToAll{Rounds: 1}, framePayload)
 	r.KVs = append(r.KVs,
 		KV{fmt.Sprintf("FM on Clos: all-to-all completion, N=%d (ms)", n),
 			fmt.Sprintf("%.2f", float64(fm.Elapsed)/float64(sim.Millisecond)), "-"},
 		KV{"FM on Clos: delivered payload BW (MB/s)",
-			fmt.Sprintf("%.1f", metrics.Bandwidth(size, fm.Messages, fm.Elapsed)), "-"},
+			fmt.Sprintf("%.1f", metrics.Bandwidth(framePayload, fm.Messages, fm.Elapsed)), "-"},
 	)
 
 	g, groups := workload.Geometry(n)

@@ -92,7 +92,6 @@ func Faults(opt Options) *Report {
 	if err != nil {
 		panic(fmt.Sprintf("bench: faults: %v", err))
 	}
-	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	spec := workload.ClosSpec(n)
 	r := &Report{ID: "faults", Title: fmt.Sprintf("Resilience under injected faults on clos-%d", n)}
 
@@ -102,19 +101,19 @@ func Faults(opt Options) *Report {
 	var a2a, bis, degBis workload.FaultResult
 	runParallel(opt.Workers, []func(){
 		func() {
-			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, size, ws, opt.Shards)
+			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, framePayload, ws, opt.Shards)
 		},
 		func() {
-			bis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, nil, opt.Shards)
+			bis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, framePayload, nil, opt.Shards)
 		},
 		func() {
-			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, size, ws, opt.Shards)
+			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, framePayload, ws, opt.Shards)
 		},
 	})
 
 	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-	bisBW := metrics.Bandwidth(size, bis.Messages, bis.LastDelivery)
-	degBW := metrics.Bandwidth(size, degBis.Messages, degBis.LastDelivery)
+	bisBW := metrics.Bandwidth(framePayload, bis.Messages, bis.LastDelivery)
+	degBW := metrics.Bandwidth(framePayload, degBis.Messages, degBis.LastDelivery)
 	recovery := us(degBis.LastDelivery) - us(bis.LastDelivery)
 	if recovery < 0 {
 		recovery = 0

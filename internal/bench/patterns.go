@@ -64,7 +64,6 @@ func Patterns(opt Options) *Report {
 	p := cost.Default()
 	n := patternNodes(opt)
 	pats := patternCatalog()
-	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	specs := workload.Specs(n)
 	r := &Report{ID: "patterns", Title: fmt.Sprintf("Workload patterns at %d nodes", n)}
 
@@ -80,9 +79,9 @@ func Patterns(opt Options) *Report {
 		i := i
 		pat, spec := pats[i/len(specs)], specs[i%len(specs)]
 		jobs = append(jobs,
-			func() { cells[i].raw = workload.DriveRawSharded(spec, p, pat, size, 1) },
-			func() { cells[i].fm = workload.DriveFM(spec, core.DefaultConfig(), p, pat, size) },
-			func() { cells[i].mpi = workload.DriveMPI(spec, core.DefaultConfig(), p, pat, size) },
+			func() { cells[i].raw = workload.DriveRawSharded(spec, p, pat, framePayload, 1) },
+			func() { cells[i].fm = workload.DriveFM(spec, core.DefaultConfig(), p, pat, framePayload) },
+			func() { cells[i].mpi = workload.DriveMPI(spec, core.DefaultConfig(), p, pat, framePayload) },
 		)
 	}
 	runParallel(opt.Workers, jobs)
@@ -116,7 +115,7 @@ func Patterns(opt Options) *Report {
 		fmt.Sprintf("geometry: crossbar = one %d-port switch; line = %d switches x %d nodes; clos = %d spines over %d leaves x %d nodes",
 			n, groups, g, groups, groups, g),
 		fmt.Sprintf("%dB payloads; bounded patterns send %d packets per rank; uniform-random is seeded (splitmix64, seed %d) and byte-reproducible",
-			size, patternPackets, patternSeed),
+			framePayload, patternPackets, patternSeed),
 		"raw = wires and switches only (p99 is injection to tail delivery); FM = complete FM 1.0 stack; MPI = tagged messages on FM (the 128B default frame splits each payload into two fragments, so every MPI message pays matching and reassembly)",
 		"incast converges on rank 0 (the Discussion's hotspot); broadcast is rank 0 storming all others; tornado shifts by ceil(n/2)-1 ranks",
 	)

@@ -49,5 +49,5 @@ func FaultDrive() workload.FaultResult {
 		panic(err)
 	}
 	return workload.DriveFMFaultsSharded(workload.ClosSpec(n), core.DefaultConfig(), cost.Default(),
-		workload.AllToAll{Rounds: 1}, 112, ws, 1)
+		workload.AllToAll{Rounds: 1}, framePayload, ws, 1)
 }

@@ -127,7 +127,6 @@ func Scale(opt Options) *Report {
 		panic(fmt.Sprintf("bench: scale: %v", err))
 	}
 	pname, nodes := opt.ScalePattern, opt.ScaleNodes
-	const size = 112 // 112B payload + 16B header = the paper's 128B frame
 	r := &Report{ID: "scale", Title: fmt.Sprintf("Clos scaling, %d to %d nodes", nodes[0], nodes[len(nodes)-1])}
 
 	type rawRes struct {
@@ -147,16 +146,16 @@ func Scale(opt Options) *Report {
 		i, n := i, n
 		jobs = append(jobs,
 			func() {
-				res := workload.DriveRawSharded(scaleSpec(n), p, pat, size, opt.Shards)
-				a2a[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), hops: res.MeanHops, shards: res.Shards}
+				res := workload.DriveRawSharded(scaleSpec(n), p, pat, framePayload, opt.Shards)
+				a2a[i] = rawRes{bw: metrics.Bandwidth(framePayload, res.Messages, res.Elapsed), hops: res.MeanHops, shards: res.Shards}
 			},
 			func() {
-				res := workload.DriveRawSharded(scaleSpec(n), p, workload.Bisection{Packets: 32}, size, opt.Shards)
-				bis[i] = rawRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), shards: res.Shards}
+				res := workload.DriveRawSharded(scaleSpec(n), p, workload.Bisection{Packets: 32}, framePayload, opt.Shards)
+				bis[i] = rawRes{bw: metrics.Bandwidth(framePayload, res.Messages, res.Elapsed), shards: res.Shards}
 			},
 			func() {
-				res := workload.DriveFMSharded(scaleSpec(n), core.DefaultConfig(), p, pat, size, opt.Shards)
-				fm[i] = fmRes{bw: metrics.Bandwidth(size, res.Messages, res.Elapsed), elapsed: res.Elapsed, shards: res.Shards}
+				res := workload.DriveFMFaultsSharded(scaleSpec(n), core.DefaultConfig(), p, pat, framePayload, nil, opt.Shards).Result
+				fm[i] = fmRes{bw: metrics.Bandwidth(framePayload, res.Messages, res.Elapsed), elapsed: res.Elapsed, shards: res.Shards}
 			},
 		)
 	}
@@ -195,8 +194,8 @@ func Scale(opt Options) *Report {
 				line := fmt.Sprintf("shard timing N=%d %s:", n, leg)
 				var posts, events uint64
 				for s, st := range shards {
-					line += fmt.Sprintf("  s%d %.2gMev/%dw/%s", s,
-						float64(st.Events)/1e6, st.Windows, st.Busy.Round(time.Millisecond))
+					line += fmt.Sprintf("  s%d %dev/%dw/%s", s,
+						st.Events, st.Windows, st.Busy.Round(time.Millisecond))
 					posts += st.Posted
 					events += st.Events
 				}
@@ -208,7 +207,7 @@ func Scale(opt Options) *Report {
 				timing(n, "FM "+pname, fm[i].shards)
 			}
 			r.Notes = append(r.Notes,
-				"shard timing legend: per shard, events executed (millions) / barrier windows with work / wall-clock busy in the shard's kernel; then the leg's cross-shard posts over the events its shards ran")
+				"shard timing legend: per shard, events executed / barrier windows with work / wall-clock busy draining posts and running the shard's kernel; then the leg's cross-shard posts over the events its shards ran")
 		}
 	}
 	return r

@@ -30,10 +30,6 @@ import (
 // canonical engine is what makes this report byte-identical at any
 // -workers value.
 
-// soakSize is the soak payload: the paper's 128B frame minus the 16B
-// header, matching the fabrics/patterns experiments.
-const soakSize = 112
-
 // soakBase resolves the named base pattern the source cycles through.
 // The catalog is the deterministic subset of the pattern vocabulary
 // that makes sense under sustained load (every rank keeps sending).
@@ -56,7 +52,7 @@ func soakBase(name string) (workload.Pattern, error) {
 }
 
 // soakGap converts one offered-load point (MB/s per node) into the
-// per-rank mean interarrival gap for soakSize-byte messages.
+// per-rank mean interarrival gap for framePayload-byte messages.
 func soakGap(loadMBps float64) sim.Duration {
 	return sim.Duration(soakGapPs(loadMBps))
 }
@@ -64,7 +60,7 @@ func soakGap(loadMBps float64) sim.Duration {
 // soakGapPs is soakGap before the conversion to integer picoseconds,
 // which ValidateSoak checks is defined.
 func soakGapPs(loadMBps float64) float64 {
-	return float64(soakSize) / (loadMBps * metrics.MiB) * float64(sim.Second)
+	return float64(framePayload) / (loadMBps * metrics.MiB) * float64(sim.Second)
 }
 
 // soakSource builds the arrival process for one load point.
@@ -184,7 +180,7 @@ func Soak(opt Options) *Report {
 	for i, load := range loads {
 		i, load := i, load
 		jobs[i] = func() {
-			results[i] = workload.SoakDriveFM(spec, cfg, p, soakSource(opt, base, load), soakSize, sopt)
+			results[i] = workload.SoakDriveFM(spec, cfg, p, soakSource(opt, base, load), framePayload, sopt)
 		}
 	}
 	runParallel(opt.Workers, jobs)

@@ -32,6 +32,8 @@ type Messenger interface {
 	Send(dst, handler int, payload []byte) error
 	Extract() int
 	WaitIncoming()
+	// Now is the node's virtual time, which the measurements read.
+	Now() sim.Time
 }
 
 // Pair binds two endpoints to their host processes and the simulation
@@ -69,7 +71,7 @@ func PingPong(p Pair, size, rounds int) (sim.Duration, error) {
 	p.StartA(func() {
 		p.A.RegisterHandler(h, func(int, []byte) { got++ })
 		buf := make([]byte, size)
-		start = now(p.A)
+		start = p.A.Now()
 		for i := 0; i < rounds; i++ {
 			if err := p.A.Send(p.B.NodeID(), h, buf); err != nil {
 				panic(err)
@@ -80,7 +82,7 @@ func PingPong(p Pair, size, rounds int) (sim.Duration, error) {
 				p.A.Extract()
 			}
 		}
-		end = now(p.A)
+		end = p.A.Now()
 	})
 	if err := p.Run(); err != nil {
 		return 0, err
@@ -104,7 +106,7 @@ func Stream(p Pair, size, packets int) (sim.Duration, float64, error) {
 		p.B.RegisterHandler(h, func(int, []byte) {
 			got++
 			if got == packets {
-				end = now(p.B)
+				end = p.B.Now()
 			}
 		})
 		for got < packets {
@@ -115,7 +117,7 @@ func Stream(p Pair, size, packets int) (sim.Duration, float64, error) {
 	})
 	p.StartA(func() {
 		buf := make([]byte, size)
-		start = now(p.A)
+		start = p.A.Now()
 		for i := 0; i < packets; i++ {
 			if err := p.A.Send(p.B.NodeID(), h, buf); err != nil {
 				panic(err)
@@ -138,13 +140,4 @@ func Bandwidth(size, packets int, elapsed sim.Duration) float64 {
 		return 0
 	}
 	return float64(size) * float64(packets) / MiB / elapsed.Seconds()
-}
-
-// now reads virtual time through the messenger if it exposes it.
-func now(m Messenger) sim.Time {
-	type clocked interface{ Now() sim.Time }
-	if c, ok := m.(clocked); ok {
-		return c.Now()
-	}
-	panic("metrics: messenger does not expose virtual time")
 }

@@ -32,13 +32,15 @@ type Result struct {
 	// topology property of the pattern's (src, dst) pairs.
 	MeanHops float64
 	// Latency is the per-message delivery-latency distribution:
-	// injection to tail delivery at the raw level; send call to the
-	// instant the receiving rank observes the message at the FM and MPI
-	// levels (handler dispatch and, for MPI, matching and reassembly
-	// included). The raw driver records every message; the FM and MPI
-	// drivers stamp the send instant into the payload, so messages
-	// shorter than the 8-byte timestamp cannot carry one and are not
-	// recorded — Latency.Count() < Messages signals such a run.
+	// injection to tail delivery at the raw level. At the FM and MPI
+	// levels it runs from the instant a send was due to the instant the
+	// receiving rank observes the message (handler dispatch and, for
+	// MPI, matching and reassembly included); a send is due at its At
+	// instant, or at its send call when At is zero (see hold). The raw
+	// driver records every message; the FM and MPI drivers stamp the
+	// due instant into the payload, so messages shorter than the 8-byte
+	// timestamp cannot carry one and are not recorded —
+	// Latency.Count() < Messages signals such a run.
 	Latency stats.Histogram
 	// Shards holds per-shard runtime counters (events run, cross-shard
 	// posts, barrier windows, busy wall time) when the drive was split
@@ -184,16 +186,10 @@ func DriveRawSharded(spec FabricSpec, p *cost.Params, pat Pattern, size, shards 
 // --- FM-stack driver ---
 
 // DriveFM runs the pattern through the complete FM 1.0 stack on one
-// kernel: DriveFMSharded at one shard.
+// kernel and a healthy fabric: DriveFMFaultsSharded with an empty fault
+// timeline at one shard.
 func DriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size int) Result {
-	return DriveFMSharded(spec, cfg, p, pat, size, 1)
-}
-
-// DriveFMSharded runs the pattern through the complete FM 1.0 stack on
-// a healthy fabric split over `shards` kernels: DriveFMFaultsSharded
-// with an empty fault timeline.
-func DriveFMSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size, shards int) Result {
-	return DriveFMFaultsSharded(spec, cfg, p, pat, size, nil, shards).Result
+	return DriveFMFaultsSharded(spec, cfg, p, pat, size, nil, 1).Result
 }
 
 // DriveFMFaultsSharded is the one closed-loop FM drive. It runs the
@@ -201,65 +197,31 @@ func DriveFMSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Patter
 // flow control on every node) on the spec's fabric using handler 0,
 // split over `shards` kernels, with the compiled fault timeline ws
 // (empty for a healthy run) installed on every fabric replica. Every
-// rank issues its send list as fast as the layers allow, draining
-// incoming messages while sending, then extracts until it has received
-// its expected share and its outstanding frames are acknowledged (and,
-// under faults, until the settle horizon; see fmRank). Each rank's full
-// stack lives on the shard owning its leaf, so only fabric hops between
-// shards cross the barrier; every replica installs the identical
-// timeline, so toggles fire at the same virtual instants on each
-// replica's own kernel and the replicas' routers never disagree.
+// rank runs fmRank: it issues its send list as fast as the layers
+// allow, draining incoming messages while sending, then extracts until
+// it has received its expected share and its outstanding frames are
+// acknowledged (and, under faults, until the settle horizon). Each
+// rank's full stack lives on the shard owning its leaf, so only fabric
+// hops between shards cross the barrier.
 //
 // Elapsed is the instant the cluster went quiescent and LastDelivery
 // the instant the last message reached a handler. Panics if any message
 // goes undelivered or duplicated or any frame stays stranded — a
 // timeline whose windows all close guarantees none of these.
 func DriveFMFaultsSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size int, ws []myrinet.FaultWindow, shards int) FaultResult {
-	c, err := cluster.NewFMShardedFrom(spec.Build, cfg, p, shards)
-	if err != nil {
-		panic(fmt.Sprintf("workload: %s: %v", spec.Name, err))
-	}
-	for _, f := range c.Fabs {
-		f.ApplyFaults(ws)
-	}
-	n := len(c.EPs)
-
-	base, sends, expect, maxSize := prepare(spec, pat, size, c.Fabs...)
-	res := FaultResult{Result: base}
-	settleAt := settleTime(ws, cfg.RetryDelay)
-
-	// One pre-sized slab instead of one send buffer per rank: at scale
-	// (the 4096-node sweep) per-rank allocations are pure overhead. Each
-	// rank writes only its own slice; latency histograms are per shard
-	// and merged after the run.
-	slab := make([]byte, n*maxSize)
-	lasts := make([]sim.Time, n)
+	d, base := newFMDrive(spec, cfg, p, pat, size, ws, shards)
+	// Latency histograms are per shard, so no kernel records into
+	// another's, and merged after the run.
 	hists := make([]stats.Histogram, shards)
-	for id := 0; id < n; id++ {
-		id := id
-		c.Start(id, func(ep *core.Endpoint) {
-			fmRank(ep, sends[id], expect[id], size, slab[id*maxSize:(id+1)*maxSize],
-				&hists[c.Part.Owner(id)], &lasts[id], settleAt)
-		})
+	deliver := make([]func(sim.Time, sim.Duration, int), shards)
+	for s := range deliver {
+		h := &hists[s]
+		deliver[s] = func(_ sim.Time, lat sim.Duration, _ int) { h.Record(lat) }
 	}
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
+	res := d.run(base, func(id int, ep *core.Endpoint) sim.Time {
+		return d.fmRank(id, ep, deliver[d.c.Part.Owner(id)], noPoll)
+	})
 	mergeLatency(&res.Result, hists)
-	res.Elapsed = sim.Duration(c.Group.Now())
-	for _, t := range lasts {
-		if d := sim.Duration(t); d > res.LastDelivery {
-			res.LastDelivery = d
-		}
-	}
-	res.Shards = shardStats(c.Group)
-	for _, ep := range c.EPs {
-		mergeCoreStats(&res.Stats, ep.Stats())
-	}
-	for _, f := range c.Fabs {
-		res.Fault.Merge(f.FaultStats())
-		res.Stranded += f.PendingStranded()
-	}
 	checkFaultRun(&res, spec.Name, pat.Name())
 	return res
 }
@@ -269,71 +231,60 @@ func DriveFMFaultsSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat 
 // mpiDriveTag is the application tag DriveMPI stamps on every message.
 const mpiDriveTag = 1
 
-// DriveMPI runs the pattern through the MPI layer on the full FM stack:
-// every rank posts wildcard receives for its expected share, issues its
-// send list with blocking tagged sends, then completes receives as
+// DriveMPI runs the pattern through the MPI layer on the full FM stack,
+// one kernel and a healthy fabric: every rank posts wildcard receives
+// for its expected share, issues its send list with blocking tagged
+// sends (held and stamped as fmRank's are), then completes receives as
 // their messages arrive (matching and reassembly included) and drains
 // its outstanding FM frames. The config's frame size bounds the MPI
 // fragment size, so payloads above one frame pay segmentation exactly
-// as applications would.
+// as applications would; that is also why the FM frame count is not
+// checked against the message count here.
 func DriveMPI(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size int) Result {
-	c := cluster.NewFMFrom(spec.Build, cfg, p)
-	n := c.Fab.Nodes()
-
-	res, sends, expect, maxSize := prepare(spec, pat, size, c.Fab)
-
-	slab := make([]byte, n*maxSize)
-	for id := 0; id < n; id++ {
-		id := id
-		c.Start(id, func(ep *core.Endpoint) {
-			comm := mpi.NewWorld(ep, n, 0)
-			pending := make([]*mpi.Request, expect[id])
-			for i := range pending {
-				pending[i] = comm.Irecv(mpi.AnySource, mpi.AnyTag)
-			}
-			buf := slab[id*maxSize : (id+1)*maxSize]
-			q := sends[id]
-			for j := 0; j < q.Len(); j++ {
-				s := q.At(j)
-				if s.At > 0 {
-					waitUntil(ep, s.At)
+	d, base := newFMDrive(spec, cfg, p, pat, size, nil, 1)
+	var lat stats.Histogram
+	res := d.run(base, func(id int, ep *core.Endpoint) sim.Time {
+		comm := mpi.NewWorld(ep, len(d.sends), 0)
+		pending := make([]*mpi.Request, d.expect[id])
+		for i := range pending {
+			pending[i] = comm.Irecv(mpi.AnySource, mpi.AnyTag)
+		}
+		buf, q := d.buf(id), d.sends[id]
+		for j := 0; j < q.Len(); j++ {
+			s := q.At(j)
+			msg := buf[:sendSize(s, size)]
+			stamp(msg, hold(ep, s.At, noPoll))
+			comm.Send(s.Dst, mpiDriveTag, msg)
+		}
+		// Complete receives as they land: sweeping Done requests
+		// keeps the latency observation close to each message's
+		// actual arrival instead of the end of the run.
+		for len(pending) > 0 {
+			live := pending[:0]
+			for _, req := range pending {
+				if !req.Done() {
+					live = append(live, req)
+					continue
 				}
-				msg := buf[:sendSize(s, size)]
-				stamp(msg, ep.Now())
-				comm.Send(s.Dst, mpiDriveTag, msg)
-			}
-			// Complete receives as they land: sweeping Done requests
-			// keeps the latency observation close to each message's
-			// actual arrival instead of the end of the run.
-			for len(pending) > 0 {
-				live := pending[:0]
-				for _, req := range pending {
-					if !req.Done() {
-						live = append(live, req)
-						continue
-					}
-					data, _ := comm.Wait(req)
-					if at, ok := stampedAt(data); ok {
-						res.Latency.Record(ep.Now().Sub(at))
-					}
-				}
-				pending = live
-				if len(pending) > 0 {
-					ep.WaitIncoming()
-					ep.Extract()
+				data, _ := comm.Wait(req)
+				if at, ok := stampedAt(data); ok {
+					lat.Record(ep.Now().Sub(at))
 				}
 			}
-			// Outstanding frames may still be rejected under incast
-			// overload; keep extracting so they retransmit.
-			for ep.Outstanding() > 0 {
+			pending = live
+			if len(pending) > 0 {
 				ep.WaitIncoming()
 				ep.Extract()
 			}
-		})
-	}
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
-	res.Elapsed = sim.Duration(c.K.Now())
-	return res
+		}
+		// Outstanding frames may still be rejected under incast
+		// overload; keep extracting so they retransmit.
+		for ep.Outstanding() > 0 {
+			ep.WaitIncoming()
+			ep.Extract()
+		}
+		return 0 // Result carries no LastDelivery
+	})
+	res.Latency = lat
+	return res.Result
 }

@@ -8,18 +8,19 @@ import (
 	"fm/internal/sim"
 )
 
-// Fault support of the FM drive (DriveFMFaultsSharded). Two things
-// change when a fault plan is installed. First, the instant that
-// measures the run is the last delivery (max over ranks), not cluster
-// quiescence — fault toggles are scheduled events that outlast the
-// traffic, so the quiescence instant would measure the plan, not the
-// run. Second, termination: the healthy exit condition (all expected
-// messages received, nothing outstanding) assumes a reliable network,
-// but a fault can bounce a standalone ack back to a rank that has
-// already finished — acks hold no window slot, so nothing in that
-// rank's exit condition covers them. Every rank therefore stays alive
-// polling until a settle horizon past the last fault recovery, by
-// which instant nothing can be in flight toward it anymore.
+// Fault support of the FM drive core (fmDrive), which the closed-loop
+// and soak drives share. Two things change when a fault plan is
+// installed. First, the instant that measures the run is the last
+// delivery (max over ranks), not cluster quiescence — fault toggles
+// are scheduled events that outlast the traffic, so the quiescence
+// instant would measure the plan, not the run. Second, termination:
+// the healthy exit condition (all expected messages received, nothing
+// outstanding) assumes a reliable network, but a fault can bounce a
+// standalone ack back to a rank that has already finished — acks hold
+// no window slot, so nothing in that rank's exit condition covers
+// them. Every rank therefore stays alive polling until a settle
+// horizon past the last fault recovery, by which instant nothing can
+// be in flight toward it anymore.
 
 // FaultResult extends Result with the last-delivery instant and the
 // resilience counters of an FM drive.
@@ -40,11 +41,12 @@ type FaultResult struct {
 	Stranded int
 }
 
-// settleQuantum is the poll interval of a finished rank waiting out the
-// settle horizon, and settleSlack is how far past the last fault
-// recovery the run keeps every rank alive: enough for a final bounce to
-// travel home, wait out a retry backoff, and be resent — several times
-// over, since chained faults can bounce one frame more than once.
+// settleQuantum is the poll interval of a rank holding a send until its
+// At instant or, finished, waiting out the settle horizon; settleSlack
+// is how far past the last fault recovery the run keeps every rank
+// alive: enough for a final bounce to travel home, wait out a retry
+// backoff, and be resent — several times over, since chained faults
+// can bounce one frame more than once.
 const (
 	settleQuantum = 10 * sim.Microsecond
 	settleSlack   = 200 * sim.Microsecond

@@ -26,7 +26,7 @@ func TestOneShardRegression(t *testing.T) {
 			DriveRawSharded(ClosSpec(32), p, UniformRandom{Seed: 7, Packets: 8}, 112, 1),
 			256, 41650000, 8988671, 30450000, 2.9375},
 		{"fm clos-16 all-to-all",
-			DriveFMSharded(ClosSpec(16), core.DefaultConfig(), p, AllToAll{Rounds: 1}, 112, 1),
+			DriveFMFaultsSharded(ClosSpec(16), core.DefaultConfig(), p, AllToAll{Rounds: 1}, 112, nil, 1).Result,
 			240, 290742000, 71341133, 112640000, 2.6},
 	} {
 		r := tc.res
@@ -88,14 +88,14 @@ func TestShardedRawRegression(t *testing.T) {
 func TestShardedFMSmall(t *testing.T) {
 	p := cost.Default()
 	cfg := core.DefaultConfig()
-	a := DriveFMSharded(ClosSpec(16), cfg, p, AllToAll{Rounds: 1}, 112, 2)
+	a := DriveFMFaultsSharded(ClosSpec(16), cfg, p, AllToAll{Rounds: 1}, 112, nil, 2).Result
 	if a.Messages != 16*15 {
 		t.Fatalf("messages = %d, want %d", a.Messages, 16*15)
 	}
 	if a.Latency.Count() != uint64(a.Messages) {
 		t.Fatalf("latency samples = %d, want %d", a.Latency.Count(), a.Messages)
 	}
-	b := DriveFMSharded(ClosSpec(16), cfg, p, AllToAll{Rounds: 1}, 112, 2)
+	b := DriveFMFaultsSharded(ClosSpec(16), cfg, p, AllToAll{Rounds: 1}, 112, nil, 2).Result
 	if a.Elapsed != b.Elapsed || a.Latency.Mean() != b.Latency.Mean() {
 		t.Fatalf("repeated sharded FM runs diverged: %v vs %v", a.Elapsed, b.Elapsed)
 	}

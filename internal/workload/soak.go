@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"fm/internal/cluster"
 	"fm/internal/core"
 	"fm/internal/cost"
 	"fm/internal/myrinet"
@@ -19,8 +18,9 @@ import (
 // fault-recovery dips are visible as a timeline instead of being
 // averaged away.
 //
-// Latency semantics change with the loop: the payload stamp carries the
-// *scheduled arrival* instant, not the send instant, so the receiver's
+// Latency semantics change with the loop: every send of a source has
+// an At instant, so by hold's stamp rule the payload carries the
+// *scheduled arrival* instant, not the send instant, and the receiver's
 // reading is the sojourn time — source-queue wait included. Below the
 // knee sojourn tracks service latency; past it the backlog grows for as
 // long as the source keeps offering, and the windowed p99 blows up.
@@ -103,84 +103,25 @@ func (r *SoakResult) ReportWindows() int {
 	return r.Series.Len()
 }
 
-// soakRank is the per-rank body of a soak drive: fmRank's loop with the
-// open-loop stamp (scheduled arrival, not send instant), per-window
-// delivery recording, and retransmit-delta attribution after every
-// extract. Ranks on one kernel run as coroutines, so sharing one Series
-// is deterministic.
-func soakRank(ep *core.Endpoint, sends sendSeq, expect, size int, buf []byte,
-	series *stats.Series, settleAt sim.Time) {
-	got := 0
-	var seenRetrans uint64
-	poll := func() {
-		if r := ep.Stats().Retransmits; r > seenRetrans {
-			series.Retransmits(ep.Now(), r-seenRetrans)
-			seenRetrans = r
-		}
-	}
-	ep.RegisterHandler(0, func(src int, payload []byte) {
-		got++
-		if at, ok := stampedAt(payload); ok {
-			series.Delivery(ep.Now(), ep.Now().Sub(at), len(payload))
-		}
-	})
-	for j := 0; j < sends.Len(); j++ {
-		s := sends.At(j)
-		// Poll-wait to the scheduled arrival: unlike the batch drivers'
-		// blind waitUntil, an idle open-loop rank keeps extracting, so a
-		// lightly loaded receiver's sojourn reflects service latency and
-		// not the gap to its own next send.
-		for sim.Duration(ep.Now()) < s.At {
-			d := s.At - sim.Duration(ep.Now())
-			if d > settleQuantum {
-				d = settleQuantum
-			}
-			ep.CPU().Advance(d)
-			ep.Extract()
-			poll()
-		}
-		msg := buf[:sendSize(s, size)]
-		stamp(msg, sim.Time(s.At))
-		if err := ep.Send(s.Dst, 0, msg); err != nil {
-			panic(err)
-		}
-		ep.Extract()
-		poll()
-	}
-	for got < expect || ep.Outstanding() > 0 {
-		ep.WaitIncoming()
-		ep.Extract()
-		poll()
-	}
-	for ep.Now() < settleAt {
-		ep.CPU().Advance(settleQuantum)
-		ep.Extract()
-		poll()
-	}
-}
-
 // SoakDriveFM runs an open-loop source through the complete FM 1.0
-// stack on the spec's fabric and returns the windowed timeline. Every
-// scheduled arrival is delivered before the drive returns (the drain
+// stack on the spec's fabric, one kernel, and returns the windowed
+// timeline. It is the closed-loop drive's fmDrive core and fmRank body
+// with two different observers: each delivery goes to the series window
+// of its instant, and after every extract the rank's new retransmits
+// are attributed to the window they happen in. Every scheduled arrival
+// is delivered exactly once before the drive returns (the drain
 // guarantee all FM drivers share); the termination mode only selects
-// how much of the timeline ReportWindows exposes. Panics if any
-// message cannot carry the 8-byte stamp — a soak without sojourn
-// readings has no timeline to report.
+// how much of the timeline ReportWindows exposes. Panics if any message
+// cannot carry the 8-byte stamp — a soak without sojourn readings has
+// no timeline to report.
 func SoakDriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, src Source, size int, opt SoakOptions) SoakResult {
-	c := cluster.NewFMFrom(spec.Build, cfg, p)
-	n := c.Fab.Nodes()
-	c.Fab.ApplyFaults(opt.Faults)
-	settleAt := settleTime(opt.Faults, cfg.RetryDelay)
-
-	base, sends, expect, maxSize := prepare(spec, src, size, c.Fab)
-	res := SoakResult{Result: base, Horizon: src.SourceHorizon(), Mode: opt.Mode}
+	d, base := newFMDrive(spec, cfg, p, src, size, opt.Faults, 1)
 	series := stats.NewSeries(opt.Width)
-	res.Series = series
 
 	// The offered schedule is a property of the source alone — record
 	// it before the simulation so arrival windows never depend on how
 	// service unfolded.
-	for _, q := range sends {
+	for _, q := range d.sends {
 		for j := 0; j < q.Len(); j++ {
 			s := q.At(j)
 			if sendSize(s, size) < 8 {
@@ -191,27 +132,21 @@ func SoakDriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, src Source, s
 		}
 	}
 
-	slab := make([]byte, n*maxSize)
-	for id := 0; id < n; id++ {
-		id := id
-		c.Start(id, func(ep *core.Endpoint) {
-			soakRank(ep, sends[id], expect[id], size, slab[id*maxSize:(id+1)*maxSize], series, settleAt)
+	// Ranks on one kernel run as coroutines, so sharing one Series is
+	// deterministic.
+	deliver := series.Delivery
+	fr := d.run(base, func(id int, ep *core.Endpoint) sim.Time {
+		var seen uint64
+		return d.fmRank(id, ep, deliver, func() {
+			if r := ep.Stats().Retransmits; r > seen {
+				series.Retransmits(ep.Now(), r-seen)
+				seen = r
+			}
 		})
-	}
-	if err := c.Run(); err != nil {
-		panic(err)
-	}
-	res.Elapsed = sim.Duration(c.K.Now())
+	})
+	checkFaultRun(&fr, spec.Name, src.Name())
 
-	_, delivered, _, _ := series.Totals()
-	if int(delivered) != res.Messages {
-		panic(fmt.Sprintf("workload: soak %s on %s delivered %d/%d messages",
-			src.Name(), spec.Name, delivered, res.Messages))
-	}
-	if stranded := c.Fab.PendingStranded(); stranded != 0 {
-		panic(fmt.Sprintf("workload: soak %s on %s left %d frames stranded",
-			src.Name(), spec.Name, stranded))
-	}
+	res := SoakResult{Result: fr.Result, Series: series, Horizon: src.SourceHorizon(), Mode: opt.Mode}
 	for i := 0; i < series.Len(); i++ {
 		res.Latency.Merge(&series.Window(i).Lat)
 	}

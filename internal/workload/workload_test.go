@@ -264,14 +264,54 @@ func TestDriveRawPerSendSizes(t *testing.T) {
 	}
 }
 
-// The At field delays injection: a pattern whose sends are all pinned
-// past a horizon cannot finish before it.
+// The At field delays a send at every stack level: a send pinned at At
+// is not issued before At, and its latency is measured from At. Every
+// rank sends one message; the shifted run pins each past the end of
+// the unshifted run, so the FM and MPI ranks hold before sending.
 func TestDriveRawHonorsAt(t *testing.T) {
 	p := cost.Default()
-	base := DriveRawSharded(CrossbarSpec(4), p, delayed{0}, 112, 1)
-	shifted := DriveRawSharded(CrossbarSpec(4), p, delayed{base.Elapsed * 2}, 112, 1)
-	if shifted.Elapsed < base.Elapsed*2 {
-		t.Errorf("shifted run finished at %v, before the %v horizon", shifted.Elapsed, base.Elapsed*2)
+	cfg := core.DefaultConfig()
+	spec := CrossbarSpec(4)
+	for _, d := range []struct {
+		name string
+		// run returns the drive's result and an instant no delivery
+		// passes: the last delivery itself where exact, else quiescence.
+		run   func(at sim.Duration) (Result, sim.Duration)
+		exact bool
+	}{
+		{"raw", func(at sim.Duration) (Result, sim.Duration) {
+			r := DriveRawSharded(spec, p, delayed{at}, 112, 1)
+			return r, r.Elapsed
+		}, true},
+		{"fm", func(at sim.Duration) (Result, sim.Duration) {
+			r := DriveFMFaultsSharded(spec, cfg, p, delayed{at}, 112, nil, 1)
+			return r.Result, r.LastDelivery
+		}, true},
+		{"mpi", func(at sim.Duration) (Result, sim.Duration) {
+			r := DriveMPI(spec, cfg, p, delayed{at}, 112)
+			return r, r.Elapsed
+		}, false},
+	} {
+		base, _ := d.run(0)
+		at := base.Elapsed * 2
+		shifted, last := d.run(at)
+		lat := &shifted.Latency
+		if shifted.Elapsed < at || lat.Count() != uint64(shifted.Messages) {
+			t.Errorf("%s: finished at %v with %d/%d latencies, pinned at %v",
+				d.name, shifted.Elapsed, lat.Count(), shifted.Messages, at)
+			continue
+		}
+		// A send issued before At would read, from At, less than the
+		// fastest delivery of the unshifted run.
+		if lat.Min() < base.Latency.Min() {
+			t.Errorf("%s: latency from At %v is below the unshifted minimum %v: a send left before At",
+				d.name, lat.Min(), base.Latency.Min())
+		}
+		// Measured from At: the slowest latency spans At to the last
+		// delivery, not from any later instant.
+		if got := lat.Max(); got > last-at || d.exact && got != last-at {
+			t.Errorf("%s: max latency %v, last delivery %v after At", d.name, got, last-at)
+		}
 	}
 }
 
