@@ -167,6 +167,45 @@ func TestFig9OrdersOfMagnitudeClaim(t *testing.T) {
 	}
 }
 
+// TestTable4Pinned holds every Table 4 cell to recorded values, at 1024
+// packets per stream (each cell within 3% of the default 16,384-packet
+// table). A cell that drifts more than 0.1% either way fails: a change
+// that means to move the table updates these values and gives its
+// reason.
+func TestTable4Pinned(t *testing.T) {
+	want := []struct {
+		name             string
+		t0us, rInf, nh   float64
+		extrapolatedHalf bool
+	}{
+		{"Baseline LCP (LANai only)", 4.304648, 76.28931, 349.4401, false},
+		{"Streamed LCP (LANai only)", 3.603964, 76.28931, 293.6676, false},
+		{"Streamed + hybrid", 2.544554, 21.08600, 46.41726, false},
+		{"Streamed + hybrid + buf", 2.976876, 21.39576, 54.67853, false},
+		{"Streamed + hybrid + buf + flow", 3.733562, 20.73108, 66.92080, false},
+		{"Streamed + hybrid + buf + switch", 5.855215, 25.15090, 105.9265, false},
+		{"Streamed + hybrid + buf + switch + flow", 6.439784, 24.11597, 110.4823, false},
+		{"Streamed + all DMA", 5.274150, 30.21942, 170.0288, false},
+		{"Myrinet API (myri_cmd_send_imm())", 100.6291, 16.01329, 4969.285, true},
+		{"Myrinet API (myri_cmd_send())", 129.2269, 17.11842, 5363.235, true},
+	}
+	opt := DefaultOptions()
+	opt.Packets = 1024
+	rows := Table4(opt).Rows
+	if len(rows) != len(want) {
+		t.Fatalf("Table 4 has %d rows, want %d", len(rows), len(want))
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-3*math.Abs(want) }
+	for i, w := range want {
+		r := rows[i]
+		if r.Name != w.name || !near(r.T0us, w.t0us) || !near(r.RInf, w.rInf) || !near(r.NHalf, w.nh) ||
+			r.Extrap != w.extrapolatedHalf {
+			t.Errorf("row %d: got %q t0=%.6gus r_inf=%.7g n1/2=%.7g extrapolated=%v, want %q t0=%.6gus r_inf=%.7g n1/2=%.7g extrapolated=%v",
+				i, r.Name, r.T0us, r.RInf, r.NHalf, r.Extrap, w.name, w.t0us, w.rInf, w.nh, w.extrapolatedHalf)
+		}
+	}
+}
+
 func TestTheoreticalCurveMatchesAppendixA(t *testing.T) {
 	p := cost.Default()
 	c := theoreticalCurve(p, []int{16, 112}) // 112+16 header = 128 wire bytes

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"fm/internal/core"
 	"fm/internal/cost"
@@ -43,10 +44,10 @@ func faultNodes(opt Options) int {
 }
 
 // faultTimeline resolves the experiment's fault plan on clos-n, the
-// fabric faultNodes sizes: a hand-written -fault-plan if given, the
-// empty plan for -fault-seed 0 (the clean baseline), and the seeded
-// random plan otherwise. Also returns the compiled fabric timeline.
-func faultTimeline(opt Options, n int) (workload.FaultPlan, []myrinet.FaultWindow, error) {
+// fabric faultNodes sizes, and checks it against that fabric: a
+// hand-written -fault-plan if given, the empty plan for -fault-seed 0
+// (the clean baseline), and the seeded random plan otherwise.
+func faultTimeline(opt Options, n int) (workload.FaultPlan, error) {
 	topo := workload.ClosSpec(n).Build(sim.NewKernel(), cost.Default()).Topology()
 
 	var plan workload.FaultPlan
@@ -54,13 +55,12 @@ func faultTimeline(opt Options, n int) (workload.FaultPlan, []myrinet.FaultWindo
 	case opt.FaultPlan != "":
 		var err error
 		if plan, err = workload.ParseFaultPlan(opt.FaultPlan); err != nil {
-			return plan, nil, err
+			return plan, err
 		}
 	case opt.FaultSeed != 0:
 		plan = workload.RandomFaultPlan(opt.FaultSeed, topo, 5, faultHorizonUs)
 	}
-	ws, err := plan.Windows(topo, faultHorizonUs)
-	return plan, ws, err
+	return plan, topo.CheckFaults(plan.Windows, sim.Time(sim.Us(faultHorizonUs)))
 }
 
 // ValidateFaults checks, before any experiment runs, that the Clos the
@@ -77,7 +77,7 @@ func ValidateFaults(opt Options) error {
 		"the faults experiment runs one 2-level Clos, and clos-%d has %d leaf groups", n, groups)); err != nil {
 		return err
 	}
-	_, _, err := faultTimeline(opt, n)
+	_, err := faultTimeline(opt, n)
 	return err
 }
 
@@ -88,7 +88,7 @@ func Faults(opt Options) *Report {
 	p := cost.Default()
 	cfg := core.DefaultConfig()
 	n := faultNodes(opt)
-	plan, ws, err := faultTimeline(opt, n)
+	plan, err := faultTimeline(opt, n)
 	if err != nil {
 		panic(fmt.Sprintf("bench: faults: %v", err))
 	}
@@ -101,13 +101,13 @@ func Faults(opt Options) *Report {
 	var a2a, bis, degBis workload.FaultResult
 	runParallel(opt.Workers, []func(){
 		func() {
-			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, framePayload, ws, opt.Shards)
+			a2a = workload.DriveFMFaultsSharded(spec, cfg, p, workload.AllToAll{Rounds: 1}, framePayload, plan.Windows, opt.Shards)
 		},
 		func() {
 			bis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, framePayload, nil, opt.Shards)
 		},
 		func() {
-			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, framePayload, ws, opt.Shards)
+			degBis = workload.DriveFMFaultsSharded(spec, cfg, p, workload.Bisection{Packets: 32}, framePayload, plan.Windows, opt.Shards)
 		},
 	})
 
@@ -120,7 +120,7 @@ func Faults(opt Options) *Report {
 	}
 	fs := a2a.Fault // per-run toggle counters; the bisection replay of the same plan would double-count
 	r.KVs = append(r.KVs,
-		KV{"fault events injected", fmt.Sprintf("%d", len(plan.Events)), "-"},
+		KV{"fault events injected", fmt.Sprintf("%d", len(plan.Windows)), "-"},
 		KV{"component downs (link/switch/node)", fmt.Sprintf("%d/%d/%d", fs.LinkDowns, fs.SwitchDowns, fs.NodeDowns), "-"},
 		KV{"recoveries", fmt.Sprintf("%d", fs.Recoveries), "all downs"},
 		KV{"all-to-all delivered under faults", fmt.Sprintf("%d/%d", a2a.Stats.Delivered, a2a.Messages), "100%"},
@@ -137,9 +137,9 @@ func Faults(opt Options) *Report {
 
 	if !plan.Empty() {
 		tab := Table{Name: "fault plan", Header: []string{"kind", "component", "start (us)", "end (us)"}}
-		for _, e := range plan.Events {
-			tab.Rows = append(tab.Rows, []string{e.Kind.String(), fmt.Sprintf("%d", e.Index),
-				fmt.Sprintf("%d", e.StartUs), fmt.Sprintf("%d", e.EndUs)})
+		for _, w := range plan.Windows {
+			// The plan text format's four fields are the table's columns.
+			tab.Rows = append(tab.Rows, strings.Fields(w.String()))
 		}
 		r.Tables = append(r.Tables, tab)
 	}

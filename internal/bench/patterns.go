@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"fm/internal/core"
 	"fm/internal/cost"
@@ -37,6 +38,23 @@ func patternCatalog() []workload.Pattern {
 		workload.Neighbor{Rounds: patternPackets, Wrap: true},
 		workload.Broadcast{Root: 0, Rounds: patternPackets},
 	}
+}
+
+// catalogPattern resolves a pattern flag's value against
+// patternCatalog, among the entries keep admits; the error names the
+// flag and lists the names it admits.
+func catalogPattern(flag, name string, keep func(workload.Pattern) bool) (workload.Pattern, error) {
+	var valid []string
+	for _, pat := range patternCatalog() {
+		if !keep(pat) {
+			continue
+		}
+		if pat.Name() == name {
+			return pat, nil
+		}
+		valid = append(valid, pat.Name())
+	}
+	return nil, fmt.Errorf("unknown %s %q (valid: %s)", flag, name, strings.Join(valid, ", "))
 }
 
 // patternNodes is the node count the patterns experiment builds for

@@ -44,10 +44,10 @@ func APIStream(v myriapi.Variant, p *cost.Params, size, packets int) (sim.Durati
 func FaultDrive() workload.FaultResult {
 	opt := DefaultOptions()
 	n := faultNodes(opt)
-	_, ws, err := faultTimeline(opt, n)
+	plan, err := faultTimeline(opt, n)
 	if err != nil {
 		panic(err)
 	}
 	return workload.DriveFMFaultsSharded(workload.ClosSpec(n), core.DefaultConfig(), cost.Default(),
-		workload.AllToAll{Rounds: 1}, framePayload, ws, 1)
+		workload.AllToAll{Rounds: 1}, framePayload, plan.Windows, 1)
 }

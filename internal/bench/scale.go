@@ -40,21 +40,23 @@ func scaleSpec(n int) workload.FabricSpec {
 	return spec
 }
 
-// scalePattern resolves the sweep's main traffic pattern. The catalog
-// is deliberately small: all-to-all is the default (its labels and
-// volume are byte-identical to builds predating the knob),
-// and neighbor is the light structured pattern that makes very large
-// points — 16k nodes and past — tractable, since its message count
-// grows linearly in N instead of quadratically. The returned desc
-// phrase slots into the report notes ("<desc> ... per node").
-func scalePattern(name string) (pat workload.Pattern, desc string, err error) {
-	switch name {
-	case "all-to-all":
-		return workload.AllToAll{Rounds: 1}, "one all-to-all round", nil
-	case "neighbor":
-		return workload.Neighbor{Rounds: 16, Wrap: true}, "16 wrapped neighbor rounds", nil
-	}
-	return nil, "", fmt.Errorf("unknown -scale-pattern %q (valid: all-to-all, neighbor)", name)
+// scaleDescs names the sweep's catalog patterns, each with the phrase
+// it slots into the report notes ("<desc> ... per node"). The set is
+// deliberately small: all-to-all is the default (its labels and volume
+// are byte-identical to builds predating the knob), and neighbor is the
+// light structured pattern that makes very large points — 16k nodes
+// and past — tractable, since its message count grows linearly in N
+// instead of quadratically.
+var scaleDescs = map[string]string{
+	"all-to-all": "one all-to-all round",
+	"neighbor":   "16 wrapped neighbor rounds",
+}
+
+// scalePattern resolves the sweep's main traffic pattern and its desc
+// phrase.
+func scalePattern(name string) (workload.Pattern, string, error) {
+	pat, err := catalogPattern("-scale-pattern", name, func(p workload.Pattern) bool { return scaleDescs[p.Name()] != "" })
+	return pat, scaleDescs[name], err
 }
 
 // ValidateScale checks the scale sweep's configuration before anything

@@ -23,7 +23,7 @@ func TestValidateScale(t *testing.T) {
 
 	bad := DefaultOptions()
 	bad.ScalePattern = "bogus"
-	if err := ValidateScale(bad); err == nil || !strings.Contains(err.Error(), "-scale-pattern") {
+	if err := ValidateScale(bad); err == nil || !strings.Contains(err.Error(), `-scale-pattern "bogus" (valid: all-to-all, neighbor)`) {
 		t.Fatalf("bogus pattern: err = %v", err)
 	}
 

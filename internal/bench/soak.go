@@ -30,25 +30,11 @@ import (
 // canonical engine is what makes this report byte-identical at any
 // -workers value.
 
-// soakBase resolves the named base pattern the source cycles through.
-// The catalog is the deterministic subset of the pattern vocabulary
-// that makes sense under sustained load (every rank keeps sending).
+// soakBase resolves the named base pattern the source cycles through:
+// any catalog pattern but broadcast, whose one root would be the only
+// rank sending under sustained load.
 func soakBase(name string) (workload.Pattern, error) {
-	switch name {
-	case "uniform-random":
-		return workload.UniformRandom{Seed: patternSeed, Packets: 16}, nil
-	case "all-to-all":
-		return workload.AllToAll{Rounds: 1}, nil
-	case "tornado":
-		return workload.Tornado{Packets: 16}, nil
-	case "neighbor":
-		return workload.Neighbor{Rounds: 16, Wrap: true}, nil
-	case "bisection":
-		return workload.Bisection{Packets: 16}, nil
-	case "incast":
-		return workload.Incast{Target: 0, Packets: 16}, nil
-	}
-	return nil, fmt.Errorf("unknown -soak-pattern %q (valid: uniform-random, all-to-all, tornado, neighbor, bisection, incast)", name)
+	return catalogPattern("-soak-pattern", name, func(p workload.Pattern) bool { return p.Name() != "broadcast" })
 }
 
 // soakGap converts one offered-load point (MB/s per node) into the
@@ -73,9 +59,10 @@ func soakSource(opt Options, base workload.Pattern, loadMBps float64) workload.S
 	return workload.PoissonSource{Base: base, Seed: opt.SoakSeed, MeanGap: gap, Horizon: horizon}
 }
 
-// soakFaults compiles the optional -fault-plan against the soak fabric.
-// Only an explicit plan applies — the faults experiment's seed default
-// must not leak fault traffic into a load study nobody asked it of.
+// soakFaults parses the optional -fault-plan and checks it against the
+// soak fabric and horizon. Only an explicit plan applies — the faults
+// experiment's seed default must not leak fault traffic into a load
+// study nobody asked it of.
 func soakFaults(opt Options, n int) ([]myrinet.FaultWindow, error) {
 	if opt.FaultPlan == "" {
 		return nil, nil
@@ -85,7 +72,7 @@ func soakFaults(opt Options, n int) ([]myrinet.FaultWindow, error) {
 		return nil, err
 	}
 	topo := workload.ClosSpec(n).Build(sim.NewKernel(), cost.Default()).Topology()
-	return plan.Windows(topo, int64(opt.SoakHorizonUs))
+	return plan.Windows, topo.CheckFaults(plan.Windows, sim.Time(sim.Us(int64(opt.SoakHorizonUs))))
 }
 
 // soakNodes is the node count the soak experiment builds for

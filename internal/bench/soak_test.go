@@ -100,6 +100,8 @@ func TestValidateSoak(t *testing.T) {
 	}{
 		{"bad source", func(o *Options) { o.SoakSource = "bursty" }, "-soak-source"},
 		{"bad pattern", func(o *Options) { o.SoakPattern = "zigzag" }, "-soak-pattern"},
+		{"broadcast base", func(o *Options) { o.SoakPattern = "broadcast" },
+			"(valid: all-to-all, bisection, uniform-random, tornado, incast, neighbor)"},
 		{"no loads", func(o *Options) { o.SoakLoads = nil }, "-soak-loads"},
 		{"negative load", func(o *Options) { o.SoakLoads = []float64{8, -1} }, "positive"},
 		{"NaN load", func(o *Options) { o.SoakLoads = []float64{8, math.NaN()} }, "finite number of picoseconds"},

@@ -25,14 +25,12 @@ func (f SinkFunc) Arrive(p *Packet) { f(p) }
 // exactly its wire time, and two packets contending for the same output
 // serialize (the blocked worm stalls in the network).
 type Switch struct {
-	name  string
 	ports []*sim.Resource // one per output port
-	k     *sim.Kernel
 }
 
 // newSwitch builds a crossbar with the given port count.
 func newSwitch(k *sim.Kernel, name string, ports int) *Switch {
-	s := &Switch{name: name, k: k}
+	s := &Switch{}
 	for i := 0; i < ports; i++ {
 		s.ports = append(s.ports, sim.NewResource(k, fmt.Sprintf("%s.out%d", name, i)))
 	}
@@ -165,7 +163,7 @@ func NewFabric(k *sim.Kernel, p *cost.Params, t *Topology) *Fabric {
 	f.router = t.newRouter()
 	f.deliverFn = func(a any) {
 		pkt := a.(*Packet)
-		if fs := f.faults; fs != nil && (pkt.Corrupt || fs.nodeDownAt(pkt.Dst, f.k.Now())) {
+		if fs := f.faults; fs != nil && (pkt.Corrupt || fs.activeAt(NodeFault, pkt.Dst, f.k.Now())) {
 			// The receiving interface detects the corruption (link-level
 			// CRC) or is down: turn the frame around at the delivery
 			// switch instead of delivering it.
@@ -320,7 +318,7 @@ func (f *Fabric) Inject(p *Packet) sim.Time {
 
 	// Source uplink, then the switch hops.
 	head, srcDone := f.uplinks[p.Src].Reserve(wire)
-	if f.faults != nil && (route == nil || f.faults.nodeDownAt(p.Src, f.k.Now())) {
+	if f.faults != nil && (route == nil || f.faults.activeAt(NodeFault, p.Src, f.k.Now())) {
 		// No healthy path exists right now (or the source interface is
 		// itself inside a churn window): the interface turns the frame
 		// straight around, as if the fabric bounced it at the first hop.
@@ -358,13 +356,13 @@ func (f *Fabric) forward(p *Packet, route []hop, i int, eligible sim.Time, wire 
 			// each hop: forward schedules the whole walk at inject time,
 			// so a component that dies while the worm is mid-flight must
 			// be caught by the timeline, not by current state.
-			if fs.switchDownAt(int(h.sw), eligible) {
+			if fs.activeAt(SwitchFault, int(h.sw), eligible) {
 				f.faultTurn(p, int(h.sw), eligible)
 				return
 			}
 			if li := fs.portLink[h.sw][h.port]; li >= 0 {
 				next := f.topo.links[li].to
-				if fs.linkDownAt(li, eligible) || fs.switchDownAt(next, eligible) {
+				if fs.activeAt(LinkFault, li, eligible) || fs.activeAt(SwitchFault, next, eligible) {
 					f.faultTurn(p, int(h.sw), eligible)
 					return
 				}
@@ -372,12 +370,12 @@ func (f *Fabric) forward(p *Packet, route []hop, i int, eligible sim.Time, wire 
 					// Loss and corruption bursts hit data traffic only;
 					// bounces are control frames the model keeps clean so
 					// a fault can never silently strand a packet.
-					if fs.lossAt(li, eligible) {
+					if fs.activeAt(LossBurst, li, eligible) {
 						fs.stats.Lost++
 						f.faultTurn(p, int(h.sw), eligible)
 						return
 					}
-					if fs.corruptAt(li, eligible) && !p.Corrupt {
+					if fs.activeAt(CorruptBurst, li, eligible) && !p.Corrupt {
 						p.Corrupt = true
 						fs.stats.Corrupted++
 					}

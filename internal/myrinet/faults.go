@@ -1,8 +1,13 @@
 package myrinet
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"fm/internal/sim"
 )
@@ -36,11 +41,10 @@ import (
 //     virtual instants on the replica's own kernel, so replicas never
 //     disagree about a route and cross-shard merges stay deterministic.
 type faultState struct {
-	link    [][]window // per link index: down windows, sorted
-	swtch   [][]window // per switch index
-	node    [][]window // per node id
-	loss    [][]window // per link index: loss-burst windows
-	corrupt [][]window // per link index: corruption-burst windows
+	// wins holds each component's windows, sorted by start, indexed by
+	// kind and then by the component's index (link index for link
+	// outages and both bursts, switch index, node id).
+	wins [numFaultKinds][][]window
 
 	// portLink maps (switch, output port) to the link index leaving
 	// through it, -1 for node-delivery and unused ports.
@@ -108,25 +112,21 @@ const (
 	// during the window as corrupt; the delivering interface detects it
 	// and bounces the frame from the destination switch.
 	CorruptBurst
+
+	numFaultKinds
 )
 
-// String returns the fault kind mnemonic (the fault-plan text format's
-// keywords).
+// faultKindNames are the fault-plan text format's keywords, indexed by
+// kind.
+var faultKindNames = [numFaultKinds]string{
+	LinkFault: "link", SwitchFault: "switch", NodeFault: "node", LossBurst: "loss", CorruptBurst: "corrupt"}
+
+// String returns the fault kind's keyword in the fault-plan text format.
 func (k FaultKind) String() string {
-	switch k {
-	case LinkFault:
-		return "link"
-	case SwitchFault:
-		return "switch"
-	case NodeFault:
-		return "node"
-	case LossBurst:
-		return "loss"
-	case CorruptBurst:
-		return "corrupt"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", uint8(k))
+	if k < numFaultKinds {
+		return faultKindNames[k]
 	}
+	return fmt.Sprintf("FaultKind(%d)", uint8(k))
 }
 
 // FaultWindow is one outage: component Index of class Kind is down (or
@@ -135,6 +135,46 @@ type FaultWindow struct {
 	Kind       FaultKind
 	Index      int
 	Start, End sim.Time
+}
+
+// String renders the window in the fault-plan text format, "kind index
+// startUs endUs", in whole microseconds.
+func (w FaultWindow) String() string {
+	us := func(t sim.Time) int64 { return int64(t) / int64(sim.Microsecond) }
+	return fmt.Sprintf("%s %d %d %d", w.Kind, w.Index, us(w.Start), us(w.End))
+}
+
+// maxFaultUs is the largest microsecond instant the picosecond clock
+// holds.
+const maxFaultUs = math.MaxInt64 / int64(sim.Microsecond)
+
+// ParseFaultWindow decodes one window in the text format String
+// writes. It checks the shape only, plus that both instants fit the
+// picosecond clock; CheckFaults checks the window against a fabric.
+func ParseFaultWindow(s string) (FaultWindow, error) {
+	f := strings.Fields(s)
+	if len(f) != 4 {
+		return FaultWindow{}, errors.New(`want "kind index startUs endUs"`)
+	}
+	kind := slices.Index(faultKindNames[:], f[0])
+	if kind < 0 {
+		return FaultWindow{}, fmt.Errorf("unknown kind %q", f[0])
+	}
+	index, err := strconv.Atoi(f[1])
+	if err != nil {
+		return FaultWindow{}, fmt.Errorf("bad index: %v", err)
+	}
+	var us [2]int64
+	for i, what := range [2]string{"start", "end"} {
+		if us[i], err = strconv.ParseInt(f[2+i], 10, 64); err != nil {
+			return FaultWindow{}, fmt.Errorf("bad %s: %v", what, err)
+		}
+		if us[i] > maxFaultUs || us[i] < -maxFaultUs {
+			return FaultWindow{}, fmt.Errorf("%s %dus overflows the simulator's picosecond clock (at most %d)",
+				what, us[i], maxFaultUs)
+		}
+	}
+	return FaultWindow{Kind: FaultKind(kind), Index: index, Start: sim.Time(sim.Us(us[0])), End: sim.Time(sim.Us(us[1]))}, nil
 }
 
 // FaultStats counts fabric-level fault activity on this replica. In a
@@ -171,7 +211,7 @@ func (s *FaultStats) Merge(o FaultStats) {
 func (t *Topology) NumLinks() int { return len(t.links) }
 
 // HostsNodes reports whether switch sw has nodes attached (a leaf).
-func (t *Topology) HostsNodes(sw int) bool { return t.hostsNodes(sw) }
+func (t *Topology) HostsNodes(sw int) bool { return t.switches[sw].nodes > 0 }
 
 // NumSwitches returns the number of switches.
 func (t *Topology) NumSwitches() int { return len(t.switches) }
@@ -179,13 +219,47 @@ func (t *Topology) NumSwitches() int { return len(t.switches) }
 // NumNodes returns the number of attached nodes.
 func (t *Topology) NumNodes() int { return len(t.nodes) }
 
+// components returns how many components a window of kind k can name.
+func (t *Topology) components(k FaultKind) int {
+	if k >= numFaultKinds {
+		return 0
+	}
+	return [numFaultKinds]int{LinkFault: len(t.links), SwitchFault: len(t.switches), NodeFault: len(t.nodes),
+		LossBurst: len(t.links), CorruptBurst: len(t.links)}[k]
+}
+
+// CheckFaults reports the first window t cannot install: an unknown
+// kind, an index naming no component of its kind, a window that is
+// empty or starts before time zero, or, when horizon > 0, one still
+// open after horizon (a window that never closes could strand bounced
+// frames forever, breaking the zero-undelivered guarantee).
+func (t *Topology) CheckFaults(ws []FaultWindow, horizon sim.Time) error {
+	for _, w := range ws {
+		var why string
+		switch n := t.components(w.Kind); {
+		case w.Kind >= numFaultKinds:
+			why = "unknown kind"
+		case w.Index < 0 || w.Index >= n:
+			why = fmt.Sprintf("index out of range (%d %s components)", n, w.Kind)
+		case w.Start < 0 || w.End <= w.Start:
+			why = "empty or negative window"
+		case horizon > 0 && w.End > horizon:
+			why = fmt.Sprintf("window open past horizon %v", horizon)
+		default:
+			continue
+		}
+		return fmt.Errorf("myrinet: fault window %v: %s", w, why)
+	}
+	return nil
+}
+
 // ApplyFaults installs a fault timeline on this fabric. Call once,
-// before traffic flows; the windows may arrive in any order. Invalid
-// component indices or empty windows (End <= Start) panic — fmbench and
-// the workload layer validate plans before building fabrics, so an
-// invalid window here is a programming error. In a sharded run every
-// replica applies the identical timeline: the per-hop checks and cache
-// invalidations then agree across shards by construction.
+// before traffic flows; the windows may arrive in any order. A window
+// CheckFaults rejects panics — fmbench and the workload layer check
+// plans before building fabrics, so an invalid window here is a
+// programming error. In a sharded run every replica applies the
+// identical timeline: the per-hop checks and cache invalidations then
+// agree across shards by construction.
 func (f *Fabric) ApplyFaults(ws []FaultWindow) {
 	if len(ws) == 0 {
 		return
@@ -194,13 +268,12 @@ func (f *Fabric) ApplyFaults(ws []FaultWindow) {
 		panic("myrinet: ApplyFaults called twice")
 	}
 	t := f.topo
-	fs := &faultState{
-		k:       f.k,
-		link:    make([][]window, len(t.links)),
-		swtch:   make([][]window, len(t.switches)),
-		node:    make([][]window, len(t.nodes)),
-		loss:    make([][]window, len(t.links)),
-		corrupt: make([][]window, len(t.links)),
+	if err := t.CheckFaults(ws, 0); err != nil {
+		panic(err.Error())
+	}
+	fs := &faultState{k: f.k}
+	for k := range fs.wins {
+		fs.wins[k] = make([][]window, t.components(FaultKind(k)))
 	}
 	fs.portLink = make([][]int, len(t.switches))
 	for sw, spec := range t.switches {
@@ -214,35 +287,15 @@ func (f *Fabric) ApplyFaults(ws []FaultWindow) {
 	}
 
 	for _, w := range ws {
-		if w.End <= w.Start {
-			panic(fmt.Sprintf("myrinet: fault window %s %d [%v,%v) is empty", w.Kind, w.Index, w.Start, w.End))
-		}
-		var per [][]window
-		switch w.Kind {
-		case LinkFault:
-			per = fs.link
-		case SwitchFault:
-			per = fs.swtch
-		case NodeFault:
-			per = fs.node
-		case LossBurst:
-			per = fs.loss
-		case CorruptBurst:
-			per = fs.corrupt
-		default:
-			panic(fmt.Sprintf("myrinet: unknown fault kind %d", w.Kind))
-		}
-		if w.Index < 0 || w.Index >= len(per) {
-			panic(fmt.Sprintf("myrinet: fault window %s %d out of range (%d components)", w.Kind, w.Index, len(per)))
-		}
+		per := fs.wins[w.Kind]
 		per[w.Index] = append(per[w.Index], window{start: w.Start, end: w.End})
 	}
-	for _, per := range [][][]window{fs.link, fs.swtch, fs.node, fs.loss, fs.corrupt} {
+	for _, per := range fs.wins {
 		for _, wins := range per {
 			sort.Slice(wins, func(i, j int) bool { return wins[i].start < wins[j].start })
 		}
 	}
-	for _, per := range [][][]window{fs.link, fs.swtch} {
+	for _, per := range fs.wins[LinkFault : SwitchFault+1] {
 		for _, wins := range per {
 			for _, w := range wins {
 				fs.routeStarts = append(fs.routeStarts, w.start)
@@ -255,31 +308,32 @@ func (f *Fabric) ApplyFaults(ws []FaultWindow) {
 	f.faults = fs
 	f.router.fs = fs
 
-	// Schedule the toggle events. Link and switch toggles change the
-	// routable graph at detection time (DetectLag after the wire-level
-	// transition), so each fires then and flushes the route caches;
-	// every recovery toggle additionally retries stranded bounces.
-	// Toggle bookkeeping is counted once globally: on the shard owning
-	// the component (every shard on a single-kernel fabric).
-	for li, wins := range fs.link {
-		mine := f.ownsSwitch(f.topo.links[li].from)
-		for _, w := range wins {
-			f.k.AtArg(w.start.Add(DetectLag), f.faultToggleFn, toggleArg{routing: true, count: mine, kind: LinkFault})
-			f.k.AtArg(w.end.Add(DetectLag), f.faultToggleFn, toggleArg{routing: true, recover: true, count: mine})
+	// Schedule the toggle events: link windows first, then switch, then
+	// node, which fixes their order at equal instants. Link and switch
+	// toggles change the routable graph at detection time (DetectLag
+	// after the wire-level transition), so each fires then and flushes
+	// the route caches; every recovery toggle additionally retries
+	// stranded bounces. Toggle bookkeeping is counted once globally: on
+	// the shard owning the component's switch (every shard on a
+	// single-kernel fabric).
+	for kind := LinkFault; kind <= NodeFault; kind++ {
+		lag := DetectLag
+		if kind == NodeFault {
+			lag = 0
 		}
-	}
-	for sw, wins := range fs.swtch {
-		mine := f.ownsSwitch(sw)
-		for _, w := range wins {
-			f.k.AtArg(w.start.Add(DetectLag), f.faultToggleFn, toggleArg{routing: true, count: mine, kind: SwitchFault})
-			f.k.AtArg(w.end.Add(DetectLag), f.faultToggleFn, toggleArg{routing: true, recover: true, count: mine})
-		}
-	}
-	for id, wins := range fs.node {
-		mine := f.part.Owner(id) == f.shard
-		for _, w := range wins {
-			f.k.AtArg(w.start, f.faultToggleFn, toggleArg{count: mine, kind: NodeFault})
-			f.k.AtArg(w.end, f.faultToggleFn, toggleArg{recover: true, count: mine})
+		for i, wins := range fs.wins[kind] {
+			sw := i // the switch whose owner counts the toggles
+			switch kind {
+			case LinkFault:
+				sw = t.links[i].from
+			case NodeFault:
+				sw = t.nodes[i].sw
+			}
+			mine := f.ownsSwitch(sw)
+			for _, w := range wins {
+				f.k.AtArg(w.start.Add(lag), f.faultToggleFn, toggleArg{count: mine, kind: kind})
+				f.k.AtArg(w.end.Add(lag), f.faultToggleFn, toggleArg{recover: true, count: mine, kind: kind})
+			}
 		}
 	}
 }
@@ -292,7 +346,6 @@ func (f *Fabric) ownsSwitch(sw int) bool {
 
 // toggleArg describes one fault toggle event.
 type toggleArg struct {
-	routing bool // the toggle changes the routable graph
 	recover bool // window end (vs. start)
 	count   bool // this replica does the stats bookkeeping
 	kind    FaultKind
@@ -304,7 +357,7 @@ type toggleArg struct {
 func (f *Fabric) faultToggle(a any) {
 	arg := a.(toggleArg)
 	fs := f.faults
-	if arg.routing {
+	if arg.kind != NodeFault { // a link or switch toggle changes the routable graph
 		f.router.invalidate()
 	}
 	if arg.count {
@@ -356,22 +409,20 @@ func at(wins []window, t sim.Time) bool {
 	return false
 }
 
-func (fs *faultState) linkDownAt(li int, t sim.Time) bool   { return at(fs.link[li], t) }
-func (fs *faultState) switchDownAt(sw int, t sim.Time) bool { return at(fs.swtch[sw], t) }
-func (fs *faultState) nodeDownAt(id int, t sim.Time) bool   { return at(fs.node[id], t) }
-func (fs *faultState) lossAt(li int, t sim.Time) bool       { return at(fs.loss[li], t) }
-func (fs *faultState) corruptAt(li int, t sim.Time) bool    { return at(fs.corrupt[li], t) }
+// activeAt reports whether a window of the given kind is open on
+// component i at instant t: the wire-level truth the per-hop and
+// delivery checks read.
+func (fs *faultState) activeAt(kind FaultKind, i int, t sim.Time) bool {
+	return at(fs.wins[kind][i], t)
+}
 
-// linkDownNow / switchDownNow are the router's view: the wire state as
+// downNow is the router's view of link or switch i: the wire state as
 // of DetectLag ago, so resolution keeps steering into a fresh fault
 // (and away from a fresh recovery) until the mapper's view catches up.
 // Caches are flushed at the detection toggles, so a cached route never
 // outlives the view it was computed from.
-func (fs *faultState) linkDownNow(li int) bool {
-	return at(fs.link[li], fs.k.Now().Add(-DetectLag))
-}
-func (fs *faultState) switchDownNow(sw int) bool {
-	return at(fs.swtch[sw], fs.k.Now().Add(-DetectLag))
+func (fs *faultState) downNow(kind FaultKind, i int) bool {
+	return at(fs.wins[kind][i], fs.k.Now().Add(-DetectLag))
 }
 
 // routingQuiet reports whether, at the mapper's lagged view (DetectLag

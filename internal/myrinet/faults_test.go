@@ -1,6 +1,8 @@
 package myrinet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fm/internal/cost"
@@ -76,6 +78,26 @@ func linkBetween(t *testing.T, topo *Topology, a, b int) int {
 	}
 	t.Fatalf("no link %d->%d", a, b)
 	return -1
+}
+
+// TestApplyFaultsPanicsOnRejectedWindow: ApplyFaults installs only what
+// CheckFaults accepts, and names the window it refuses.
+func TestApplyFaultsPanicsOnRejectedWindow(t *testing.T) {
+	for _, w := range []FaultWindow{
+		win(SwitchFault, 16, 10, 20),
+		win(NodeFault, 3, 20, 20),
+		win(LinkFault, 0, -1, 20),
+		{Kind: numFaultKinds, Start: 1, End: 2},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fault window "+w.String()) {
+					t.Errorf("ApplyFaults(%v): recovered %v, want a panic naming the window", w, r)
+				}
+			}()
+			newFaultRig([]FaultWindow{win(LossBurst, 1, 5, 10), w})
+		}()
+	}
 }
 
 // TestLinkFaultBouncesInFlight kills the exact uplink a packet's route

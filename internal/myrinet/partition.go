@@ -15,7 +15,6 @@ type Partition struct {
 	Shards      int
 	SwitchShard []int // switch index -> owning shard
 	NodeShard   []int // node id -> owning shard
-	LeafGroups  int   // node-hosting switch count (the shard ceiling)
 }
 
 // Owner returns the shard that simulates node id. A nil partition is
@@ -32,20 +31,11 @@ func (p *Partition) Owner(id int) int {
 func (t *Topology) LeafGroups() int {
 	n := 0
 	for sw := range t.switches {
-		if t.hostsNodes(sw) {
+		if t.HostsNodes(sw) {
 			n++
 		}
 	}
 	return n
-}
-
-func (t *Topology) hostsNodes(sw int) bool {
-	for _, a := range t.nodes {
-		if a.sw == sw {
-			return true
-		}
-	}
-	return false
 }
 
 // partitionable reports whether the fabric has the strict two-level
@@ -57,7 +47,7 @@ func (t *Topology) hostsNodes(sw int) bool {
 // math, such fabrics run single-kernel.
 func (t *Topology) partitionable() error {
 	for _, l := range t.links {
-		fromLeaf, toLeaf := t.hostsNodes(l.from), t.hostsNodes(l.to)
+		fromLeaf, toLeaf := t.HostsNodes(l.from), t.HostsNodes(l.to)
 		if fromLeaf && toLeaf {
 			return fmt.Errorf("link %s -> %s joins two node-hosting switches",
 				t.name(l.from), t.name(l.to))
@@ -80,7 +70,6 @@ func (t *Topology) Partition(shards int) (*Partition, error) {
 		Shards:      shards,
 		SwitchShard: make([]int, len(t.switches)),
 		NodeShard:   make([]int, len(t.nodes)),
-		LeafGroups:  groups,
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("myrinet: shard count must be at least 1, got %d", shards)
@@ -97,7 +86,7 @@ func (t *Topology) Partition(shards int) (*Partition, error) {
 	}
 	leaf, spine := 0, 0
 	for sw := range t.switches {
-		if t.hostsNodes(sw) {
+		if t.HostsNodes(sw) {
 			// Contiguous blocks of ceil/floor(groups/shards) leaves: leaf
 			// i lands on shard i*shards/groups, which is monotone and
 			// balanced to within one leaf.

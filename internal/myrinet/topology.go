@@ -47,6 +47,7 @@ type closForm struct {
 type switchSpec struct {
 	name  string
 	ports int
+	nodes int // nodes attached (a leaf hosts some, a spine none)
 }
 
 // attach is a node's delivery point: the switch and output port its
@@ -72,9 +73,13 @@ func (t *Topology) AddSwitch(name string, ports int) int {
 	return len(t.switches) - 1
 }
 
-// AttachNode declares the next node id's delivery point and returns the
-// id. Node ids are assigned densely in attachment order.
+// AttachNode declares the next node id's delivery point on an already
+// declared switch and returns the id. Node ids are assigned densely in
+// attachment order.
 func (t *Topology) AttachNode(sw, port int) int {
+	if sw >= 0 && sw < len(t.switches) {
+		t.switches[sw].nodes++
+	}
 	t.nodes = append(t.nodes, attach{sw: sw, port: port})
 	return len(t.nodes) - 1
 }
@@ -305,11 +310,11 @@ func (r *router) distances(dstSw int) []int {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, li := range r.rev[cur] {
-			if r.fs != nil && r.fs.linkDownNow(li) {
+			if r.fs != nil && r.fs.downNow(LinkFault, li) {
 				continue
 			}
 			prev := r.t.links[li].from
-			if r.fs != nil && r.fs.switchDownNow(prev) {
+			if r.fs != nil && r.fs.downNow(SwitchFault, prev) {
 				continue
 			}
 			if dist[prev] < 0 {
@@ -368,7 +373,7 @@ func (r *router) routeFrom(srcSw, dst int) []hop {
 	if rt, ok := r.cache[key]; ok {
 		return rt
 	}
-	if r.fs != nil && (r.fs.switchDownNow(srcSw) || r.fs.switchDownNow(da.sw)) {
+	if r.fs != nil && (r.fs.downNow(SwitchFault, srcSw) || r.fs.downNow(SwitchFault, da.sw)) {
 		r.cache[key] = nil
 		return nil
 	}
@@ -382,7 +387,7 @@ func (r *router) routeFrom(srcSw, dst int) []hop {
 	for cur != da.sw {
 		cands := r.scratch[:0]
 		for _, l := range r.fwd[cur] {
-			if r.fs != nil && r.fs.linkDownNow(l.idx) {
+			if r.fs != nil && r.fs.downNow(LinkFault, l.idx) {
 				continue
 			}
 			if dist[l.to] == dist[cur]-1 {

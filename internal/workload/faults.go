@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"fm/internal/myrinet"
@@ -11,59 +10,42 @@ import (
 
 // Fault plans. A FaultPlan is the workload-level description of every
 // component outage a run injects: which links, switches, and node
-// interfaces go down (or run loss/corruption bursts), and when, in
-// virtual microseconds. Plans are pure data — they come from a seed
-// (RandomFaultPlan) or from text (ParseFaultPlan), compile to
-// myrinet.FaultWindow timelines against a concrete topology, and carry
-// no randomness of their own at run time, so a plan replays
-// byte-identically at any -workers or -shards setting.
+// interfaces go down (or run loss/corruption bursts), and when. Plans
+// are pure data — they come from a seed (RandomFaultPlan) or from text
+// (ParseFaultPlan), are checked against a concrete topology by
+// myrinet.Topology.CheckFaults, and carry no randomness of their own at
+// run time, so a plan replays byte-identically at any -workers or
+// -shards setting.
 
-// FaultEvent is one outage: component Index of class Kind is down (or
-// bursting) from StartUs to EndUs in virtual microseconds, end
-// exclusive.
-type FaultEvent struct {
-	Kind    myrinet.FaultKind
-	Index   int
-	StartUs int64
-	EndUs   int64
-}
-
-// String renders the event in the plan text format.
-func (e FaultEvent) String() string {
-	return fmt.Sprintf("%s %d %d %d", e.Kind, e.Index, e.StartUs, e.EndUs)
-}
-
-// FaultPlan is an ordered list of fault events plus the seed that
-// generated it (zero for hand-written plans). Event order is
+// FaultPlan is an ordered list of fault windows plus the seed that
+// generated it (zero for hand-written plans). Window order is
 // insignificant to the simulation — the fabric sorts windows per
 // component — but is preserved so String round-trips.
 type FaultPlan struct {
-	Seed   uint64
-	Events []FaultEvent
+	Seed    uint64
+	Windows []myrinet.FaultWindow
 }
 
 // Empty reports whether the plan injects nothing.
-func (p FaultPlan) Empty() bool { return len(p.Events) == 0 }
+func (p FaultPlan) Empty() bool { return len(p.Windows) == 0 }
 
 // String renders the plan in the text format ParseFaultPlan accepts:
-// events joined by "; ".
+// windows joined by "; ", each in whole microseconds.
 func (p FaultPlan) String() string {
-	var b strings.Builder
-	for i, e := range p.Events {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		b.WriteString(e.String())
+	events := make([]string, len(p.Windows))
+	for i, w := range p.Windows {
+		events[i] = w.String()
 	}
-	return b.String()
+	return strings.Join(events, "; ")
 }
 
 // ParseFaultPlan decodes the plan text format: events separated by
-// semicolons or newlines, each "kind index startUs endUs" with kind one
-// of link, switch, node, loss, corrupt. Blank events and #-comments are
-// ignored. The decoder validates shape only (a plan is written against
-// a topology it cannot see); index range and window sanity are checked
-// when the plan is compiled by Windows. It never panics on any input.
+// semicolons or newlines, each a window in myrinet.FaultWindow's text
+// format, "kind index startUs endUs" with kind one of link, switch,
+// node, loss, corrupt. Blank events and #-comments are ignored. The
+// decoder checks shape only, since a plan is written against a topology
+// it cannot see; myrinet.Topology.CheckFaults checks index range and
+// window sanity. It never panics on any input.
 func ParseFaultPlan(s string) (FaultPlan, error) {
 	var p FaultPlan
 	split := func(r rune) bool { return r == ';' || r == '\n' }
@@ -71,85 +53,16 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 		if i := strings.IndexByte(ev, '#'); i >= 0 {
 			ev = ev[:i]
 		}
-		fields := strings.Fields(ev)
-		if len(fields) == 0 {
+		if ev = strings.TrimSpace(ev); ev == "" {
 			continue
 		}
-		if len(fields) != 4 {
-			return FaultPlan{}, fmt.Errorf("workload: fault event %q: want \"kind index startUs endUs\"", strings.TrimSpace(ev))
-		}
-		var kind myrinet.FaultKind
-		switch fields[0] {
-		case "link":
-			kind = myrinet.LinkFault
-		case "switch":
-			kind = myrinet.SwitchFault
-		case "node":
-			kind = myrinet.NodeFault
-		case "loss":
-			kind = myrinet.LossBurst
-		case "corrupt":
-			kind = myrinet.CorruptBurst
-		default:
-			return FaultPlan{}, fmt.Errorf("workload: fault event %q: unknown kind %q", strings.TrimSpace(ev), fields[0])
-		}
-		idx, err := strconv.Atoi(fields[1])
+		w, err := myrinet.ParseFaultWindow(ev)
 		if err != nil {
-			return FaultPlan{}, fmt.Errorf("workload: fault event %q: bad index: %v", strings.TrimSpace(ev), err)
+			return FaultPlan{}, fmt.Errorf("workload: fault event %q: %v", ev, err)
 		}
-		start, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return FaultPlan{}, fmt.Errorf("workload: fault event %q: bad start: %v", strings.TrimSpace(ev), err)
-		}
-		end, err := strconv.ParseInt(fields[3], 10, 64)
-		if err != nil {
-			return FaultPlan{}, fmt.Errorf("workload: fault event %q: bad end: %v", strings.TrimSpace(ev), err)
-		}
-		p.Events = append(p.Events, FaultEvent{Kind: kind, Index: idx, StartUs: start, EndUs: end})
+		p.Windows = append(p.Windows, w)
 	}
 	return p, nil
-}
-
-// Windows compiles the plan against a concrete topology, validating
-// every event: indices must name real components and windows must be
-// non-empty, non-negative, and end by the horizon (a window that never
-// closes could strand bounced frames forever, breaking the
-// zero-undelivered guarantee). Returns the fabric-level timeline for
-// myrinet.Fabric.ApplyFaults.
-func (p FaultPlan) Windows(t *myrinet.Topology, horizonUs int64) ([]myrinet.FaultWindow, error) {
-	if p.Empty() {
-		return nil, nil
-	}
-	ws := make([]myrinet.FaultWindow, 0, len(p.Events))
-	for _, e := range p.Events {
-		var limit int
-		switch e.Kind {
-		case myrinet.LinkFault, myrinet.LossBurst, myrinet.CorruptBurst:
-			limit = t.NumLinks()
-		case myrinet.SwitchFault:
-			limit = t.NumSwitches()
-		case myrinet.NodeFault:
-			limit = t.NumNodes()
-		default:
-			return nil, fmt.Errorf("workload: fault event %v: unknown kind", e)
-		}
-		if e.Index < 0 || e.Index >= limit {
-			return nil, fmt.Errorf("workload: fault event %v: index out of range (%d %s components)", e, limit, e.Kind)
-		}
-		if e.StartUs < 0 || e.EndUs <= e.StartUs {
-			return nil, fmt.Errorf("workload: fault event %v: empty or negative window", e)
-		}
-		if horizonUs > 0 && e.EndUs > horizonUs {
-			return nil, fmt.Errorf("workload: fault event %v: window open past horizon %dus", e, horizonUs)
-		}
-		ws = append(ws, myrinet.FaultWindow{
-			Kind:  e.Kind,
-			Index: e.Index,
-			Start: sim.Time(0).Add(sim.Us(e.StartUs)),
-			End:   sim.Time(0).Add(sim.Us(e.EndUs)),
-		})
-	}
-	return ws, nil
 }
 
 // RandomFaultPlan derives a fault plan from a single seed against a
@@ -182,25 +95,25 @@ func RandomFaultPlan(seed uint64, t *myrinet.Topology, n int, horizonUs int64) F
 		// always recovered well before the horizon.
 		start := horizonUs/8 + int64(r.next()%uint64(3*horizonUs/8))
 		dur := horizonUs/16 + int64(r.next()%uint64(3*horizonUs/16))
-		e := FaultEvent{StartUs: start, EndUs: start + dur}
+		w := myrinet.FaultWindow{Start: sim.Time(sim.Us(start)), End: sim.Time(sim.Us(start + dur))}
 		switch pick := r.next() % 10; {
 		case pick < 4 && t.NumLinks() > 0:
-			e.Kind = myrinet.LinkFault
-			e.Index = int(r.next() % uint64(t.NumLinks()))
+			w.Kind = myrinet.LinkFault
+			w.Index = int(r.next() % uint64(t.NumLinks()))
 		case pick < 6 && t.NumLinks() > 0:
-			e.Kind = myrinet.LossBurst
-			e.Index = int(r.next() % uint64(t.NumLinks()))
+			w.Kind = myrinet.LossBurst
+			w.Index = int(r.next() % uint64(t.NumLinks()))
 		case pick < 8 && t.NumLinks() > 0:
-			e.Kind = myrinet.CorruptBurst
-			e.Index = int(r.next() % uint64(t.NumLinks()))
+			w.Kind = myrinet.CorruptBurst
+			w.Index = int(r.next() % uint64(t.NumLinks()))
 		case pick < 9 && len(spines) > 0:
-			e.Kind = myrinet.SwitchFault
-			e.Index = spines[r.next()%uint64(len(spines))]
+			w.Kind = myrinet.SwitchFault
+			w.Index = spines[r.next()%uint64(len(spines))]
 		default:
-			e.Kind = myrinet.NodeFault
-			e.Index = int(r.next() % uint64(t.NumNodes()))
+			w.Kind = myrinet.NodeFault
+			w.Index = int(r.next() % uint64(t.NumNodes()))
 		}
-		p.Events = append(p.Events, e)
+		p.Windows = append(p.Windows, w)
 	}
 	return p
 }

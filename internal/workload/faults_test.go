@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,39 +16,38 @@ import (
 // component classes.
 func downs(s myrinet.FaultStats) uint64 { return s.LinkDowns + s.SwitchDowns + s.NodeDowns }
 
+// usWindow builds a fault window from whole microseconds.
+func usWindow(kind myrinet.FaultKind, index int, startUs, endUs int64) myrinet.FaultWindow {
+	return myrinet.FaultWindow{Kind: kind, Index: index,
+		Start: sim.Time(0).Add(sim.Us(startUs)), End: sim.Time(0).Add(sim.Us(endUs))}
+}
+
 func TestParseFaultPlanRoundTrip(t *testing.T) {
 	text := "link 3 10 40; switch 1 20 60\nnode 0 5 15; loss 2 30 50; corrupt 4 1 99"
 	p, err := ParseFaultPlan(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events) != 5 {
-		t.Fatalf("parsed %d events, want 5", len(p.Events))
+	want := []myrinet.FaultWindow{
+		usWindow(myrinet.LinkFault, 3, 10, 40),
+		usWindow(myrinet.SwitchFault, 1, 20, 60),
+		usWindow(myrinet.NodeFault, 0, 5, 15),
+		usWindow(myrinet.LossBurst, 2, 30, 50),
+		usWindow(myrinet.CorruptBurst, 4, 1, 99),
 	}
-	want := []FaultEvent{
-		{myrinet.LinkFault, 3, 10, 40},
-		{myrinet.SwitchFault, 1, 20, 60},
-		{myrinet.NodeFault, 0, 5, 15},
-		{myrinet.LossBurst, 2, 30, 50},
-		{myrinet.CorruptBurst, 4, 1, 99},
-	}
-	for i, e := range p.Events {
-		if e != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
-		}
+	if !slices.Equal(p.Windows, want) {
+		t.Fatalf("parsed %v, want %v", p.Windows, want)
 	}
 	// String renders the canonical text; parsing it again is identical.
+	if got := p.String(); got != "link 3 10 40; switch 1 20 60; node 0 5 15; loss 2 30 50; corrupt 4 1 99" {
+		t.Fatalf("String() = %q", got)
+	}
 	again, err := ParseFaultPlan(p.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.Events) != len(p.Events) {
-		t.Fatalf("round-trip lost events: %v vs %v", again.Events, p.Events)
-	}
-	for i := range again.Events {
-		if again.Events[i] != p.Events[i] {
-			t.Fatalf("round-trip event %d = %+v, want %+v", i, again.Events[i], p.Events[i])
-		}
+	if !slices.Equal(again.Windows, p.Windows) {
+		t.Fatalf("round trip changed the plan: %v vs %v", again.Windows, p.Windows)
 	}
 }
 
@@ -55,45 +56,73 @@ func TestParseFaultPlanIgnoresNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Events) != 1 || p.Events[0] != (FaultEvent{myrinet.LinkFault, 0, 1, 2}) {
-		t.Fatalf("parsed %+v", p.Events)
+	if want := []myrinet.FaultWindow{usWindow(myrinet.LinkFault, 0, 1, 2)}; !slices.Equal(p.Windows, want) {
+		t.Fatalf("parsed %v", p.Windows)
 	}
 }
 
 func TestParseFaultPlanErrors(t *testing.T) {
 	for _, bad := range []string{
-		"link 0 1",     // too few fields
-		"link 0 1 2 3", // too many
-		"quark 0 1 2",  // unknown kind
-		"link x 1 2",   // bad index
-		"link 0 x 2",   // bad start
-		"link 0 1 x",   // bad end
+		"link 0 1",                              // too few fields
+		"link 0 1 2 3",                          // too many
+		"quark 0 1 2",                           // unknown kind
+		"link x 1 2",                            // bad index
+		"link 0 x 2",                            // bad start
+		"link 0 1 x",                            // bad end
+		"link 0 1 9223372036855",                // end past the picosecond clock
+		"link 0 -9223372036855 1",               // start before it
+		"link 0 1 9223372036854775808",          // not an int64 at all
+		"switch 1 2 3; link 0 1 99999999999999", // a later event
 	} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Fatalf("ParseFaultPlan(%q) accepted", bad)
 		}
 	}
+	// The largest instant the clock holds parses.
+	if _, err := ParseFaultPlan("link 0 0 9223372036854"); err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestFaultPlanWindowsValidates: a parsed plan's windows pass
+// myrinet.Topology.CheckFaults only when every window fits the fabric
+// and the horizon, and the error names the offending event.
 func TestFaultPlanWindowsValidates(t *testing.T) {
 	spec := ClosSpec(16)
 	topo := spec.Build(sim.NewKernel(), cost.Default()).Topology()
-	ok := FaultPlan{Events: []FaultEvent{{myrinet.LinkFault, 0, 10, 20}}}
-	if _, err := ok.Windows(topo, 100); err != nil {
+	horizon := sim.Time(0).Add(sim.Us(100))
+	ok, err := ParseFaultPlan("link 0 10 20; node 15 0 100")
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []FaultEvent{
-		{myrinet.LinkFault, topo.NumLinks(), 10, 20},    // link index range
-		{myrinet.SwitchFault, topo.NumSwitches(), 1, 2}, // switch index range
-		{myrinet.NodeFault, -1, 1, 2},                   // negative index
-		{myrinet.LinkFault, 0, 20, 20},                  // empty window
-		{myrinet.LinkFault, 0, -5, 20},                  // negative start
-		{myrinet.LinkFault, 0, 10, 200},                 // past horizon
+	if err := topo.CheckFaults(ok.Windows, horizon); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{
+		fmt.Sprintf("link %d 10 20", topo.NumLinks()),    // link index range
+		fmt.Sprintf("switch %d 1 2", topo.NumSwitches()), // switch index range
+		fmt.Sprintf("corrupt %d 1 2", topo.NumLinks()),   // burst index range
+		"node -1 1 2",   // negative index
+		"link 0 20 20",  // empty window
+		"link 0 -5 20",  // negative start
+		"link 0 10 200", // past horizon
 	} {
-		p := FaultPlan{Events: []FaultEvent{bad}}
-		if _, err := p.Windows(topo, 100); err == nil {
-			t.Fatalf("Windows accepted %+v", bad)
+		p, err := ParseFaultPlan("loss 1 10 20; " + bad)
+		if err != nil {
+			t.Fatal(err)
 		}
+		err = topo.CheckFaults(p.Windows, horizon)
+		if err == nil || !strings.Contains(err.Error(), "fault window "+bad+":") {
+			t.Fatalf("CheckFaults(%q) = %v, want an error naming the event", bad, err)
+		}
+	}
+	unknown := []myrinet.FaultWindow{{Kind: 9, Index: 0, Start: 1, End: 2}}
+	if err := topo.CheckFaults(unknown, 0); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+		t.Fatalf("unknown kind: err %v", err)
+	}
+	// Horizon 0 leaves the window's end unbounded.
+	if err := topo.CheckFaults([]myrinet.FaultWindow{usWindow(myrinet.LinkFault, 0, 10, 9000)}, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,10 +134,10 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same seed, different plans:\n%s\n%s", a, b)
 	}
-	if len(a.Events) != 6 {
-		t.Fatalf("generated %d events, want 6", len(a.Events))
+	if len(a.Windows) != 6 {
+		t.Fatalf("generated %d windows, want 6", len(a.Windows))
 	}
-	if _, err := a.Windows(topo, 400); err != nil {
+	if err := topo.CheckFaults(a.Windows, sim.Time(0).Add(sim.Us(400))); err != nil {
 		t.Fatalf("generated plan does not validate: %v", err)
 	}
 	c := RandomFaultPlan(7, topo, 6, 400)
@@ -122,14 +151,9 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 // message, with the retransmit machinery visibly exercised.
 func TestDriveFMFaultsDelivers(t *testing.T) {
 	spec := ClosSpec(16)
-	topo := spec.Build(sim.NewKernel(), cost.Default()).Topology()
-	plan := FaultPlan{Events: []FaultEvent{
-		{myrinet.LinkFault, 0, 20, 120},
-		{myrinet.LossBurst, 3, 30, 90},
-	}}
-	ws, err := plan.Windows(topo, 0)
-	if err != nil {
-		t.Fatal(err)
+	ws := []myrinet.FaultWindow{
+		usWindow(myrinet.LinkFault, 0, 20, 120),
+		usWindow(myrinet.LossBurst, 3, 30, 90),
 	}
 	res := DriveFMFaultsSharded(spec, core.DefaultConfig(), cost.Default(), AllToAll{Rounds: 2}, 64, ws, 1)
 	if int(res.Stats.Delivered) != res.Messages {
@@ -184,11 +208,7 @@ func TestDriveFMFaultsShardedAgrees(t *testing.T) {
 	cfg := core.DefaultConfig()
 	p := cost.Default()
 	topo := spec.Build(sim.NewKernel(), p).Topology()
-	plan := RandomFaultPlan(42, topo, 5, 300)
-	ws, err := plan.Windows(topo, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := RandomFaultPlan(42, topo, 5, 300).Windows
 	pat := AllToAll{Rounds: 1}
 	single := DriveFMFaultsSharded(spec, cfg, p, pat, 64, ws, 1)
 	for _, shards := range []int{2, 4} {
@@ -228,14 +248,8 @@ func FuzzParseFaultPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form %q rejected: %v", p.String(), err)
 		}
-		if len(again.Events) != len(p.Events) {
-			t.Fatalf("round trip changed event count: %d vs %d", len(again.Events), len(p.Events))
+		if !slices.Equal(again.Windows, p.Windows) {
+			t.Fatalf("round trip changed the plan: %v vs %v", again.Windows, p.Windows)
 		}
-		for i := range again.Events {
-			if again.Events[i] != p.Events[i] {
-				t.Fatalf("round trip changed event %d: %+v vs %+v", i, again.Events[i], p.Events[i])
-			}
-		}
-		_ = strings.TrimSpace(s)
 	})
 }

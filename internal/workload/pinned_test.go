@@ -37,18 +37,14 @@ func soakPin(r SoakResult) fmPin {
 	return fmPin{Elapsed: int64(r.Elapsed), Lat: latPin(&r.Latency), Series: [4]uint64{off, del, bytes, retrans}}
 }
 
-// pinWindows compiles a hand-written plan against the spec's topology.
-func pinWindows(t *testing.T, spec FabricSpec, text string) []myrinet.FaultWindow {
+// pinWindows parses a hand-written plan.
+func pinWindows(t *testing.T, text string) []myrinet.FaultWindow {
 	t.Helper()
 	plan, err := ParseFaultPlan(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := plan.Windows(spec.Build(sim.NewKernel(), cost.Default()).Topology(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ws
+	return plan.Windows
 }
 
 // TestFMDriversPinned pins every FM-level driver's simulated values to
@@ -60,8 +56,10 @@ func TestFMDriversPinned(t *testing.T) {
 	p := cost.Default()
 	cfg := core.DefaultConfig()
 	clos16 := ClosSpec(16)
-	plan := pinWindows(t, clos16, "link 0 20 120; loss 3 30 90; node 5 40 70")
-	soakPlan := pinWindows(t, clos16, "link 3 100 300; node 2 150 250")
+	plan := pinWindows(t, "link 0 20 120; loss 3 30 90; node 5 40 70")
+	soakPlan := pinWindows(t, "link 3 100 300; node 2 150 250")
+	// The switch and corruption windows no other case names.
+	kindPlan := pinWindows(t, "switch 6 20 120; corrupt 9 15 110; loss 12 25 80")
 	uniform := UniformRandom{Seed: 42, Packets: 4}
 	for _, tc := range []struct {
 		name string
@@ -85,6 +83,18 @@ func TestFMDriversPinned(t *testing.T) {
 			Lat:   [6]int64{480, 33770000, 564020000, 243676116, 251658240, 478150656},
 			Stats: core.Stats{Sent: 501, Delivered: 480, AcksSent: 295, AcksPiggybacked: 12, SeqsAcked: 480, NetBounces: 27, Retransmits: 27},
 			Fault: myrinet.FaultStats{LinkDowns: 1, NodeDowns: 1, Recoveries: 2, Bounced: 20, Lost: 10, Unroutable: 7, Stranded: 6}}},
+		{"DriveFMFaultsSharded clos-16 switch+corrupt 1 shard", func() fmPin {
+			return faultPin(DriveFMFaultsSharded(clos16, cfg, p, AllToAll{Rounds: 2}, 64, kindPlan, 1))
+		}, fmPin{Elapsed: 754918000, LastDelivery: 512744000,
+			Lat:   [6]int64{480, 30310000, 480506000, 237500420, 251658240, 452984832},
+			Stats: core.Stats{Sent: 506, Delivered: 480, AcksSent: 292, AcksPiggybacked: 12, SeqsAcked: 480, NetBounces: 28, Retransmits: 28},
+			Fault: myrinet.FaultStats{SwitchDowns: 1, Recoveries: 1, Bounced: 28, Corrupted: 16}}},
+		{"DriveFMFaultsSharded clos-16 switch+corrupt 2 shards", func() fmPin {
+			return faultPin(DriveFMFaultsSharded(clos16, cfg, p, AllToAll{Rounds: 2}, 64, kindPlan, 2))
+		}, fmPin{Elapsed: 754918000, LastDelivery: 512744000,
+			Lat:   [6]int64{480, 30310000, 480506000, 237498462, 251658240, 452984832},
+			Stats: core.Stats{Sent: 506, Delivered: 480, AcksSent: 292, AcksPiggybacked: 12, SeqsAcked: 480, NetBounces: 28, Retransmits: 28},
+			Fault: myrinet.FaultStats{SwitchDowns: 1, Recoveries: 1, Bounced: 28, Corrupted: 16}}},
 		{"SoakDriveFM clos-16 poisson", func() fmPin {
 			src := PoissonSource{Base: uniform, Seed: 7, MeanGap: 10 * sim.Microsecond, Horizon: 200 * sim.Microsecond}
 			return soakPin(SoakDriveFM(clos16, cfg, p, src, 112, SoakOptions{Width: 50 * sim.Microsecond}))

@@ -33,7 +33,7 @@ func TestResilienceSingleFault(t *testing.T) {
 		spec := ClosSpec(nodes)
 		topo := spec.Build(sim.NewKernel(), p).Topology()
 
-		ev := FaultEvent{Kind: myrinet.LinkFault, Index: int(r.next() % uint64(topo.NumLinks()))}
+		ev := myrinet.FaultWindow{Kind: myrinet.LinkFault, Index: int(r.next() % uint64(topo.NumLinks()))}
 		if r.next()%2 == 1 {
 			var spines []int
 			for sw := 0; sw < topo.NumSwitches(); sw++ {
@@ -41,7 +41,7 @@ func TestResilienceSingleFault(t *testing.T) {
 					spines = append(spines, sw)
 				}
 			}
-			ev = FaultEvent{Kind: myrinet.SwitchFault, Index: spines[r.next()%uint64(len(spines))]}
+			ev = myrinet.FaultWindow{Kind: myrinet.SwitchFault, Index: spines[r.next()%uint64(len(spines))]}
 		}
 		// The window must open while the doomed component actually
 		// carries traffic, or there is nothing to bounce: the all-to-all
@@ -51,16 +51,15 @@ func TestResilienceSingleFault(t *testing.T) {
 		// four-node leaves cross leaves from offset 4, ~30us in). The
 		// draw lands mid-busy-phase and closes well before the pattern
 		// drains (clean elapsed is ~640us / ~1.2ms).
+		var startUs int64
 		if nodes == 64 {
-			ev.StartUs = 100 + int64(r.next()%120)
+			startUs = 100 + int64(r.next()%120)
 		} else {
-			ev.StartUs = 30 + int64(r.next()%70)
+			startUs = 30 + int64(r.next()%70)
 		}
-		ev.EndUs = ev.StartUs + 50 + int64(r.next()%60)
-		ws, err := FaultPlan{Seed: seed, Events: []FaultEvent{ev}}.Windows(topo, 0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		ev.Start = sim.Time(0).Add(sim.Us(startUs))
+		ev.End = ev.Start.Add(sim.Us(50 + int64(r.next()%60)))
+		ws := []myrinet.FaultWindow{ev}
 
 		for _, shards := range []int{1, 2, 4, 8} {
 			res := DriveFMFaultsSharded(spec, cfg, p, AllToAll{Rounds: 1}, 64, ws, shards)
@@ -73,8 +72,8 @@ func TestResilienceSingleFault(t *testing.T) {
 					seed, ev.Kind, ev.Index, nodes, shards, res.Stranded, res.Stats.Duplicates)
 			}
 			if res.Stats.Retransmits == 0 {
-				t.Fatalf("seed %d (%s %d on clos-%d) shards=%d: fault window [%d,%d)us drew no retransmits (bounced=%d)",
-					seed, ev.Kind, ev.Index, nodes, shards, ev.StartUs, ev.EndUs, res.Fault.Bounced)
+				t.Fatalf("seed %d (%v on clos-%d) shards=%d: fault window drew no retransmits (bounced=%d)",
+					seed, ev, nodes, shards, res.Fault.Bounced)
 			}
 			if downs(res.Fault) != 1 || res.Fault.Recoveries != 1 {
 				t.Fatalf("seed %d shards=%d: toggles miscounted: %+v", seed, shards, res.Fault)
