@@ -3,11 +3,11 @@ package fm
 // Simulator hot-path benchmarks: each one measures the simulator itself
 // (not the modeled hardware) — the kernel event loop, raw fabric
 // forwarding, the full FM send/extract stack and the workload drivers.
-// CI runs them as a build/panic smoke test; their allocs/op (and B/op,
-// where a baseline commits to it) are the regression surface for the
-// engine's allocation discipline, gated by cmd/benchcheck against the
-// committed BENCH_*.json baselines (see DESIGN.md "Performance"). The
-// paper's figures and tables come from cmd/fmbench.
+// CI runs them as a build/panic smoke test; their allocs/op and B/op are
+// the regression surface for the engine's allocation discipline, gated
+// by cmd/benchcheck against BENCH_gate.json, which lists every Benchmark
+// function in this file (see DESIGN.md "Performance"). The paper's
+// figures and tables come from cmd/fmbench.
 import (
 	"testing"
 
@@ -141,7 +141,6 @@ func BenchmarkFMSendExtract(b *testing.B) {
 // through the raw driver on a 64-node Clos: pattern generation, the
 // per-source injector chain, and the shared latency-histogram
 // collection — the hot path every cell of the patterns experiment runs.
-// Baseline numbers live in BENCH_pr4.json.
 func BenchmarkWorkloadDrive(b *testing.B) {
 	b.ReportAllocs()
 	p := cost.Default()
@@ -161,8 +160,7 @@ func BenchmarkWorkloadDrive(b *testing.B) {
 // outboxes each destination drains, the barrier coordinator — on top
 // of the single-kernel hot path. Gated alongside it so a pooling
 // regression in the cross-shard path (per-shard packet pools, reused
-// outbox buffers) shows up in allocs/op. Baseline numbers live in
-// BENCH_pr6.json and BENCH_pr9.json.
+// outbox buffers) shows up in allocs/op.
 func BenchmarkShardedDrive(b *testing.B) {
 	b.ReportAllocs()
 	p := cost.Default()
@@ -181,8 +179,7 @@ func BenchmarkShardedDrive(b *testing.B) {
 // per-hop fault timeline checks, bounce generation, stranded-frame
 // release, and the endpoints' retransmit path — everything the faults
 // experiment adds over a clean drive. The driver panics on any
-// undelivered message, so this is also a delivery smoke. Baseline
-// numbers live in BENCH_pr7.json.
+// undelivered message, so this is also a delivery smoke.
 func BenchmarkFaultDrive(b *testing.B) {
 	b.ReportAllocs()
 	var retx float64
@@ -199,8 +196,7 @@ func BenchmarkFaultDrive(b *testing.B) {
 // extraction between scheduled sends), per-window histogram recording,
 // and retransmit-delta attribution — everything the soak experiment adds
 // over a batch FM drive. The driver panics on any undelivered arrival,
-// so this is also a delivery smoke. Baseline numbers live in
-// BENCH_pr8.json.
+// so this is also a delivery smoke.
 func BenchmarkSoakDrive(b *testing.B) {
 	b.ReportAllocs()
 	p := cost.Default()

@@ -1,31 +1,36 @@
 // Command benchcheck guards the allocation discipline of the hot-path
-// benchmarks: it parses `go test -bench` output and fails if any
-// benchmark's allocs/op regressed more than the threshold against the
-// committed BENCH_*.json baselines.
+// benchmarks: it parses `go test -bench` output and fails unless the
+// run holds exactly the benchmarks the committed gate file
+// BENCH_gate.json lists, each within the threshold of its gated
+// allocs/op and B/op.
 //
-// Usage:
+// Usage, from the repository root (CI's commands):
 //
-//	go test -run '^$' -bench ... -benchtime 100x . | tee bench.out
-//	go run ./cmd/benchcheck [-baselines 'BENCH_*.json'] [-threshold 1.25] bench.out
+//	go test -run '^$' -bench . -benchtime 100x . | tee bench.out
+//	go test -run '^$' -bench . -benchtime 100x ./internal/myrinet | tee -a bench.out
+//	go run ./cmd/benchcheck [-threshold 1.25] bench.out
+//
+// Gate schema: {"benchmarks": {"BenchmarkName": {"allocs_per_op": N,
+// "bytes_per_op": M}}}. An entry lacking either number fails to load.
+// The gate is the only list of what is gated: the two packages above
+// declare exactly its benchmarks, and TestCommittedGate fails when a
+// Benchmark function there is added or removed without it. A benchmark
+// the gate lists that is absent from the run fails, and so does one in
+// the run that the gate does not list.
 //
 // Wall-clock ns/op is deliberately not gated — CI machines vary too
 // much — but allocs/op and B/op are close to repeatable. The widest
-// spread is BenchmarkShardedDrive's, 5,983-5,984 allocs/op and
-// 776,308-776,516 B/op, because the runtime allocates a descriptor for
-// one of its two shard goroutines only when no exited one is free; the
-// others' B/op moves by up to about 110 bytes. The default x1.25
-// threshold absorbs that spread, so any growth beyond it is a real
-// regression in the engine's pooling/reuse discipline (see DESIGN.md
-// "Performance"). B/op is gated per benchmark: only once its baseline
-// commits a bytes_per_op figure, so pre-existing baselines keep
-// gating allocs alone.
+// spread is BenchmarkShardedDrive's: eighteen runs of one build on a
+// 2-vCPU VM (go1.24) read 5,983-5,984 allocs/op and 776,030-776,170
+// B/op, because the runtime allocates a descriptor for one of its two
+// shard goroutines only when no exited one is free. Six runs of each
+// other benchmark moved no allocs/op and at most 56 B/op. The default
+// x1.25 threshold absorbs that spread, so any growth beyond it is a
+// real regression in the engine's pooling/reuse discipline (see
+// DESIGN.md "Performance").
 //
-// Baseline schema: each BENCH_*.json holds {"benchmarks": [{"name":
-// ..., then either "after" or "baseline": {"allocs_per_op": N,
-// "bytes_per_op": M}}]} (bytes_per_op optional).
-// When several files name the same benchmark, the newest baseline
-// wins; files are ordered shortest-name-first, then lexicographically,
-// so BENCH_pr10.json correctly sorts after BENCH_pr5.json.
+// To re-baseline, run the two bench commands above, edit the numbers
+// in BENCH_gate.json, and give the reason in CHANGES.md.
 package main
 
 import (
@@ -34,176 +39,116 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 )
 
-type entry struct {
-	file   string
-	allocs float64
-	// bytes gates B/op when the baseline carries bytes_per_op; hasBytes
-	// false means the benchmark predates byte gating and only allocs
-	// are checked.
-	bytes    float64
-	hasBytes bool
+// gatePath is the committed gate, relative to the repository root.
+const gatePath = "BENCH_gate.json"
+
+// units are the gated result columns; a gate entry holds one number
+// per unit, in this order.
+var units = [2]string{"allocs/op", "B/op"}
+
+// unitField extracts each unit's column from a result line.
+var unitField = [2]*regexp.Regexp{
+	regexp.MustCompile(`(\S+)\s+allocs/op`),
+	regexp.MustCompile(`(\S+)\s+B/op`),
 }
 
-// loadBaselines walks the glob in name order and collects every
-// benchmark's committed allocs/op, later files overriding earlier ones.
-func loadBaselines(glob string) (map[string]entry, error) {
-	files, err := filepath.Glob(glob)
+// benchLine matches a result line, `BenchmarkName-8   100   ...`: the
+// name without its GOMAXPROCS suffix, then the iteration count.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s`)
+
+// loadGate reads the gate file into one [allocs/op, B/op] pair per
+// benchmark.
+func loadGate(path string) (map[string][2]float64, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no baseline files match %q", glob)
-	}
-	// Shortest-name-first, then lexicographic: for same-prefix files
-	// this is numeric order (pr3 < pr5 < pr10), so later PRs override.
-	sort.Slice(files, func(i, j int) bool {
-		if len(files[i]) != len(files[j]) {
-			return len(files[i]) < len(files[j])
-		}
-		return files[i] < files[j]
-	})
-	base := map[string]entry{}
-	for _, f := range files {
-		raw, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		type measure struct {
+	var doc struct {
+		Benchmarks map[string]struct {
 			Allocs *float64 `json:"allocs_per_op"`
 			Bytes  *float64 `json:"bytes_per_op"`
-		}
-		var doc struct {
-			Benchmarks []struct {
-				Name     string   `json:"name"`
-				After    *measure `json:"after"`
-				Baseline *measure `json:"baseline"`
-			} `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return nil, fmt.Errorf("%s: %v", f, err)
-		}
-		for _, b := range doc.Benchmarks {
-			var m *measure
-			switch {
-			case b.After != nil && b.After.Allocs != nil:
-				m = b.After
-			case b.Baseline != nil && b.Baseline.Allocs != nil:
-				m = b.Baseline
-			}
-			if b.Name == "" || m == nil {
-				continue
-			}
-			e := entry{file: f, allocs: *m.Allocs}
-			if m.Bytes != nil {
-				e.bytes, e.hasBytes = *m.Bytes, true
-			}
-			base[b.Name] = e
-		}
+		} `json:"benchmarks"`
 	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("no benchmark baselines found in %q", glob)
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return base, nil
+	if len(doc.Benchmarks) == 0 {
+		return nil, fmt.Errorf("%s: no benchmarks", path)
+	}
+	gate := make(map[string][2]float64, len(doc.Benchmarks))
+	for _, name := range slices.Sorted(maps.Keys(doc.Benchmarks)) {
+		e := doc.Benchmarks[name]
+		if e.Allocs == nil || e.Bytes == nil {
+			return nil, fmt.Errorf("%s: %s needs both allocs_per_op and bytes_per_op", path, name)
+		}
+		gate[name] = [2]float64{*e.Allocs, *e.Bytes}
+	}
+	return gate, nil
 }
 
-// benchLine matches `BenchmarkName-8   100   12345 ns/op ... 17 allocs/op`.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s.*?([\d.]+)\s+allocs/op`)
-
-// bytesField extracts the B/op column; it is matched separately from
-// benchLine so benchmarks that predate byte gating still parse.
-var bytesField = regexp.MustCompile(`(\S+)\s+B/op`)
-
-// check scans `go test -bench` output against the baselines, writing
-// one verdict line per gated benchmark, and returns the process exit
-// code. Split from main so the gate's logic is testable end to end.
-func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold float64) int {
+// check scans `go test -bench` output against the gate, writing one
+// verdict line per gated column, and returns the process exit code.
+// Split from main so the gate's logic is testable end to end.
+func check(in io.Reader, out, errw io.Writer, gate map[string][2]float64, threshold float64) int {
 	checked, failed := 0, 0
+	fail := func(format string, args ...any) {
+		failed++
+		fmt.Fprintf(out, "FAIL "+format+"\n", args...)
+	}
 	seen := map[string]bool{}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		name := m[1]
-		b, ok := base[name]
-		if !ok {
-			continue // benchmark without a committed baseline: informational only
-		}
 		seen[name] = true
-		got, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			// The benchmark appeared but its allocs/op is unreadable:
-			// fail loudly rather than letting it drop out of the gate.
-			failed++
-			fmt.Fprintf(out, "FAIL %s: unreadable allocs/op %q in the benchmark output\n", name, m[2])
+		g, ok := gate[name]
+		if !ok {
+			fail("%s: in the benchmark run but not in %s", name, gatePath)
 			continue
 		}
 		checked++
-		limit := b.allocs * threshold
-		if got > limit {
-			failed++
-			fmt.Fprintf(out, "FAIL %s: %.0f allocs/op exceeds %.0f (baseline %.0f in %s, threshold x%.2f)\n",
-				name, got, limit, b.allocs, b.file, threshold)
-		} else {
-			fmt.Fprintf(out, "ok   %s: %.0f allocs/op (baseline %.0f, limit %.0f)\n", name, got, b.allocs, limit)
-		}
-
-		// Bytes/op rides the same gate once a baseline commits to it:
-		// same threshold, and a gated line whose B/op column is missing
-		// or unreadable fails loudly rather than dropping the check.
-		if !b.hasBytes {
-			continue
-		}
-		bm := bytesField.FindStringSubmatch(sc.Text())
-		if bm == nil {
-			failed++
-			fmt.Fprintf(out, "FAIL %s: baseline gates bytes_per_op but the benchmark line has no B/op column\n", name)
-			continue
-		}
-		gotB, err := strconv.ParseFloat(bm[1], 64)
-		if err != nil {
-			failed++
-			fmt.Fprintf(out, "FAIL %s: unreadable B/op %q in the benchmark output\n", name, bm[1])
-			continue
-		}
-		limitB := b.bytes * threshold
-		if gotB > limitB {
-			failed++
-			fmt.Fprintf(out, "FAIL %s: %.0f B/op exceeds %.0f (baseline %.0f in %s, threshold x%.2f)\n",
-				name, gotB, limitB, b.bytes, b.file, threshold)
-		} else {
-			fmt.Fprintf(out, "ok   %s: %.0f B/op (baseline %.0f, limit %.0f)\n", name, gotB, b.bytes, limitB)
+		// A missing or unreadable column fails loudly rather than
+		// dropping out of the gate.
+		for i, unit := range units {
+			f := unitField[i].FindStringSubmatch(line)
+			if f == nil {
+				fail("%s: the benchmark line has no %s column", name, unit)
+				continue
+			}
+			got, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				fail("%s: unreadable %s %q in the benchmark output", name, unit, f[1])
+				continue
+			}
+			if limit := g[i] * threshold; got > limit {
+				fail("%s: %.0f %s exceeds %.0f (baseline %.0f, threshold x%.2f)", name, got, unit, limit, g[i], threshold)
+			} else {
+				fmt.Fprintf(out, "ok   %s: %.0f %s (baseline %.0f, limit %.0f)\n", name, got, unit, g[i], limit)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(errw, "benchcheck: reading input: %v\n", err)
 		return 1
 	}
-	if checked == 0 && failed == 0 {
-		fmt.Fprintln(errw, "benchcheck: no benchmark with a committed baseline appeared in the input")
-		return 1
-	}
-	// A baselined benchmark that never appeared means the gate quietly
-	// narrowed (renamed benchmark, trimmed -bench regex); fail so the
-	// baseline and the run are reconciled explicitly.
-	names := make([]string, 0, len(base))
-	for name := range base {
+	// A gated benchmark that never appeared means the gate quietly
+	// narrowed (renamed benchmark, trimmed -bench pattern); fail so the
+	// gate and the run are reconciled explicitly.
+	for _, name := range slices.Sorted(maps.Keys(gate)) {
 		if !seen[name] {
-			names = append(names, name)
+			fail("%s: gated in %s but absent from the benchmark run", name, gatePath)
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		failed++
-		fmt.Fprintf(out, "FAIL %s: baselined in %s but absent from the benchmark run\n", name, base[name].file)
 	}
 	if failed > 0 {
 		return 1
@@ -213,8 +158,7 @@ func check(in io.Reader, out, errw io.Writer, base map[string]entry, threshold f
 }
 
 func main() {
-	glob := flag.String("baselines", "BENCH_*.json", "glob of committed baseline files")
-	threshold := flag.Float64("threshold", 1.25, "fail when measured allocs/op exceed baseline by this factor")
+	threshold := flag.Float64("threshold", 1.25, "fail when a benchmark's allocs/op or B/op exceeds its gate number by this factor")
 	flag.Parse()
 
 	in := os.Stdin
@@ -228,10 +172,10 @@ func main() {
 		in = f
 	}
 
-	base, err := loadBaselines(*glob)
+	gate, err := loadGate(gatePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(1)
 	}
-	os.Exit(check(in, os.Stdout, os.Stderr, base, *threshold))
+	os.Exit(check(in, os.Stdout, os.Stderr, gate, *threshold))
 }

@@ -63,11 +63,12 @@ type nodeStack struct {
 	lcp lcp.LCP
 }
 
-// NewHardware builds n nodes on a single crossbar with the given port
-// count (8 for the paper's switch) and queue geometry.
-func NewHardware(n int, p *cost.Params, qc lanai.QueueConfig, ports int) *Hardware {
+// NewHardware builds n nodes with the given queue geometry on a single
+// crossbar: the paper's 8-port switch, or an n-port one when n is
+// larger.
+func NewHardware(n int, p *cost.Params, qc lanai.QueueConfig) *Hardware {
 	k := sim.NewKernel()
-	return NewHardwareOnFabric(k, p, myrinet.NewCrossbar(k, p, n, ports), qc)
+	return NewHardwareOnFabric(k, p, myrinet.NewCrossbar(k, p, n, max(8, n)), qc)
 }
 
 // NewHardwareOnFabric wires nodes onto an existing fabric (multi-switch
@@ -136,14 +137,9 @@ type FM struct {
 	LCPs []*lcp.LCP
 }
 
-// NewFM builds an n-node FM cluster on a single crossbar. Ports defaults
-// to the larger of 8 and n.
+// NewFM builds an n-node FM cluster on NewHardware's single crossbar.
 func NewFM(n int, cfg core.Config, p *cost.Params) *FM {
-	ports := 8
-	if n > ports {
-		ports = n
-	}
-	return newFMOn(NewHardware(n, p, cfg.Queues(p), ports), cfg)
+	return newFMOn(NewHardware(n, p, cfg.Queues(p)), cfg)
 }
 
 // NewFMOnFabric runs the FM layer on an existing fabric.

@@ -14,10 +14,10 @@
 // but unordered (return-to-sender flow control may reorder).
 //
 // The layer is assembled feature by feature exactly as the paper's
-// evaluation builds it (Sections 4.2-4.5): Config selects the LCP loop
-// structure, the SBus architecture (hybrid vs. all-DMA), real buffer
+// evaluation builds it (Sections 4.2-4.5) on the streamed LCP loop:
+// Config selects the SBus architecture (hybrid vs. all-DMA), real buffer
 // management vs. the vestigial fixed-buffer layer, per-packet LANai
-// interpretation, and return-to-sender flow control, so every row of
+// interpretation, and return-to-sender flow control, so every FM row of
 // Table 4 is a Config value.
 package core
 
@@ -61,8 +61,6 @@ const (
 // Config assembles one variant of the messaging layer. DefaultConfig is
 // full FM 1.0; the Fig. 4/7/8 ablations switch individual fields off.
 type Config struct {
-	// Streamed selects the streamed LCP main loop (Figure 2b).
-	Streamed bool
 	// SBusMode selects hybrid or all-DMA outbound data movement.
 	SBusMode SBusMode
 	// BufferMgmt enables real buffer management: the cached-counter
@@ -98,12 +96,11 @@ type Config struct {
 	FramePayload int
 
 	// Queue geometry (slots). SendSlots and RecvSlots live in the 128 KB
-	// LANai memory; HostRecvSlots and HostOutSlots in the pinned host
-	// DMA region.
+	// LANai memory, HostRecvSlots in the pinned host DMA region. The
+	// all-DMA staging depth is lanai.DefaultQueues'.
 	SendSlots     int
 	RecvSlots     int
 	HostRecvSlots int
-	HostOutSlots  int
 
 	// WindowSlots is the reject-region capacity: the maximum number of
 	// outstanding (unacknowledged) packets a sender may have in the
@@ -126,33 +123,33 @@ type Config struct {
 	// drain everything available. Small values model a slow consumer.
 	DrainLimit int
 
-	// MaxHandlers sizes the handler table.
-	MaxHandlers int
 	// CheckInvariants enables exactly-once assertions (tests).
 	CheckInvariants bool
 }
 
+// maxHandlers sizes every endpoint's handler table.
+const maxHandlers = 64
+
 // DefaultConfig returns full FM 1.0: streamed LCP, hybrid SBus use,
-// buffer management, return-to-sender flow control, 128-byte frames.
+// buffer management, return-to-sender flow control, 128-byte frames,
+// and lanai.DefaultQueues' slot counts.
 func DefaultConfig() Config {
+	q := lanai.DefaultQueues(0)
 	return Config{
-		Streamed:        true,
 		SBusMode:        Hybrid,
 		BufferMgmt:      true,
 		FlowControl:     true,
 		Aggregate:       true,
 		PiggybackAcks:   true,
 		FramePayload:    128,
-		SendSlots:       32,
-		RecvSlots:       64,
-		HostRecvSlots:   256,
-		HostOutSlots:    32,
+		SendSlots:       q.SendSlots,
+		RecvSlots:       q.RecvSlots,
+		HostRecvSlots:   q.HostRecvSlots,
 		WindowSlots:     128,
 		WindowPerDest:   16,
 		AckBatch:        16,
 		RejectThreshold: 192,
 		RetryDelay:      50 * sim.Microsecond,
-		MaxHandlers:     64,
 	}
 }
 
@@ -182,22 +179,18 @@ func (c Config) WithFrame(payload int) Config {
 	return c
 }
 
-// Queues derives the device queue geometry from the layer config.
+// Queues derives the device queue geometry from the layer config:
+// lanai.DefaultQueues at this frame size with the config's slot counts.
 func (c Config) Queues(p *cost.Params) lanai.QueueConfig {
-	return lanai.QueueConfig{
-		FrameBytes:    c.FramePayload + p.FMHeaderBytes,
-		SendSlots:     c.SendSlots,
-		RecvSlots:     c.RecvSlots,
-		HostRecvSlots: c.HostRecvSlots,
-		HostOutSlots:  c.HostOutSlots,
-		ChannelSlots:  2,
-	}
+	q := lanai.DefaultQueues(c.FramePayload + p.FMHeaderBytes)
+	q.SendSlots, q.RecvSlots, q.HostRecvSlots = c.SendSlots, c.RecvSlots, c.HostRecvSlots
+	return q
 }
 
 // LCPOptions derives the control-program configuration for this layer.
 func (c Config) LCPOptions(p *cost.Params) lcp.Options {
 	o := lcp.Options{
-		Streamed:     c.Streamed,
+		Streamed:     true,
 		Interpret:    c.Interpret,
 		HostDelivery: true,
 		Aggregate:    c.Aggregate,

@@ -84,7 +84,7 @@ func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.P
 		dev:         dev,
 		cfg:         cfg,
 		p:           p,
-		handlers:    make([]Handler, cfg.MaxHandlers),
+		handlers:    make([]Handler, maxHandlers),
 		outstanding: make(map[uint64]int),
 		pendingAcks: make(map[int][]uint64),
 		seen:        make(map[seenKey]struct{}),

@@ -38,12 +38,14 @@ type QueueConfig struct {
 	HostRecvSlots int
 	// HostOutSlots is the all-DMA outbound staging depth (DMA region).
 	HostOutSlots int
-	// ChannelSlots is the incoming-channel staging depth; arrivals beyond
-	// it stall in the network (wormhole back-pressure).
-	ChannelSlots int
 }
 
-// DefaultQueues returns the FM 1.0 queue geometry for a given frame size.
+// channelSlots is the incoming-channel staging depth; arrivals beyond
+// it stall in the network (wormhole back-pressure).
+const channelSlots = 2
+
+// DefaultQueues returns the FM 1.0 queue geometry for a given frame
+// size: the one place its slot counts are written.
 func DefaultQueues(frameBytes int) QueueConfig {
 	return QueueConfig{
 		FrameBytes:    frameBytes,
@@ -51,7 +53,6 @@ func DefaultQueues(frameBytes int) QueueConfig {
 		RecvSlots:     64,
 		HostRecvSlots: 256,
 		HostOutSlots:  32,
-		ChannelSlots:  2,
 	}
 }
 
@@ -152,7 +153,7 @@ func NewAt(d *Device, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, fab *myrinet
 		RecvQ:         ring.New[*myrinet.Packet](fmt.Sprintf("lanai%d.recv", id), cfg.RecvSlots),
 		HostRecvQ:     ring.New[*myrinet.Packet](fmt.Sprintf("host%d.recv", id), cfg.HostRecvSlots),
 		HostOutQ:      ring.New[*myrinet.Packet](fmt.Sprintf("host%d.out", id), cfg.HostOutSlots),
-		rxChan:        ring.New[*myrinet.Packet](fmt.Sprintf("lanai%d.chan", id), cfg.ChannelSlots),
+		rxChan:        ring.New[*myrinet.Packet](fmt.Sprintf("lanai%d.chan", id), channelSlots),
 		Work:          sim.NewSignal(k),
 		SendFreed:     sim.NewSignal(k),
 		HostRecvAvail: sim.NewSignal(k),

@@ -41,9 +41,7 @@ func TestDefaultQueuesFitAnyPaperFrame(t *testing.T) {
 }
 
 func TestArriveBackpressure(t *testing.T) {
-	qc := DefaultQueues(144)
-	qc.ChannelSlots = 2
-	k, d := newDev(t, qc)
+	k, d := newDev(t, DefaultQueues(144))
 	k.At(0, func() {
 		for i := 0; i < 5; i++ {
 			d.Arrive(&myrinet.Packet{Src: 1, Dst: 0, Seq: uint64(i), HeaderBytes: 16})

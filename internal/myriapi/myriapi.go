@@ -43,28 +43,31 @@ const (
 // Config parameterizes the API layer.
 type Config struct {
 	Variant Variant
-	// MaxMessage is the largest message the API accepts. The real API
+}
+
+const (
+	// maxMessage is the largest message the API accepts. The real API
 	// "does not support message sizes large enough to accurately measure
 	// r_inf" (footnote 3); 4 KB models that ceiling.
-	MaxMessage  int
-	MaxHandlers int
-}
+	maxMessage = 4096
+	// maxHandlers sizes every endpoint's handler table.
+	maxHandlers = 64
+)
 
 // DefaultConfig returns the API as measured in Figure 9.
 func DefaultConfig(v Variant) Config {
-	return Config{Variant: v, MaxMessage: 4096, MaxHandlers: 64}
+	return Config{Variant: v}
 }
 
 // Queues returns the API's buffer geometry: "small number of large
 // buffers" (Table 3).
 func (c Config) Queues(p *cost.Params) lanai.QueueConfig {
 	return lanai.QueueConfig{
-		FrameBytes:    c.MaxMessage + p.APIHeaderBytes,
+		FrameBytes:    maxMessage + p.APIHeaderBytes,
 		SendSlots:     4,
 		RecvSlots:     4,
 		HostRecvSlots: 16,
 		HostOutSlots:  4,
-		ChannelSlots:  2,
 	}
 }
 
@@ -94,9 +97,9 @@ type Endpoint struct {
 	cfg Config
 	p   *cost.Params
 
-	handlers  []func(src int, payload []byte)
-	nextSeq   uint64         // sends so far; also paces remap housekeeping
-	expectSeq map[int]uint64 // per-source in-order enforcement
+	handlers []func(src int, payload []byte)
+	nextSeq  uint64         // sends so far; also paces remap housekeeping
+	lastSeq  map[int]uint64 // per-source in-order enforcement
 }
 
 // New creates an endpoint; the caller starts the LCP with
@@ -104,8 +107,8 @@ type Endpoint struct {
 func New(cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint {
 	return &Endpoint{
 		cpu: cpu, dev: dev, cfg: cfg, p: p,
-		handlers:  make([]func(int, []byte), cfg.MaxHandlers),
-		expectSeq: make(map[int]uint64),
+		handlers: make([]func(int, []byte), maxHandlers),
+		lastSeq:  make(map[int]uint64),
 	}
 }
 
@@ -123,8 +126,8 @@ func (ep *Endpoint) RegisterHandler(id int, h func(src int, payload []byte)) {
 // Send transmits one message. It blocks until the data has left the user
 // buffer, like the real call.
 func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
-	if len(payload) > ep.cfg.MaxMessage {
-		return fmt.Errorf("myriapi: message %d exceeds API maximum %d", len(payload), ep.cfg.MaxMessage)
+	if len(payload) > maxMessage {
+		return fmt.Errorf("myriapi: message %d exceeds API maximum %d", len(payload), maxMessage)
 	}
 	// Per-message fixed cost: kernel-style entry, route lookup in the
 	// auto-maintained map, ordered-send bookkeeping, and the host-LANai
@@ -201,13 +204,14 @@ func (ep *Endpoint) Extract() int {
 		// Verify the checksum over the payload.
 		ep.cpu.Advance(sim.Duration(len(pkt.Payload)) * ep.p.APIChecksumByte)
 		// Order preservation: a FIFO network plus ordered queues makes
-		// this an assertion; the cost is the bookkeeping.
-		want := ep.expectSeq[pkt.Src] + 1
-		if pkt.Seq != want {
-			panic(fmt.Sprintf("myriapi: out-of-order delivery from %d: seq %d, want %d",
-				pkt.Src, pkt.Seq, want))
+		// this an assertion; the cost is the bookkeeping. A sender
+		// numbers its frames across all its peers, so each source's
+		// seqs rise strictly but may skip.
+		if last := ep.lastSeq[pkt.Src]; pkt.Seq <= last {
+			panic(fmt.Sprintf("myriapi: out-of-order delivery from %d: seq %d after %d",
+				pkt.Src, pkt.Seq, last))
 		}
-		ep.expectSeq[pkt.Src] = pkt.Seq
+		ep.lastSeq[pkt.Src] = pkt.Seq
 		// Return the buffer pointer to the LANai (frequent, expensive
 		// synchronization — the paper's core criticism).
 		ep.cpu.ControlWrite()
@@ -242,11 +246,7 @@ type Cluster struct {
 
 // NewCluster builds the API cluster on a single crossbar.
 func NewCluster(n int, cfg Config, p *cost.Params) *Cluster {
-	ports := 8
-	if n > ports {
-		ports = n
-	}
-	hw := cluster.NewHardware(n, p, cfg.Queues(p), ports)
+	hw := cluster.NewHardware(n, p, cfg.Queues(p))
 	c := &Cluster{Hardware: hw, Cfg: cfg}
 	for i := range hw.Devs {
 		c.EPs = append(c.EPs, New(hw.CPUs[i], hw.Devs[i], cfg, p))

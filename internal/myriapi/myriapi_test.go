@@ -2,10 +2,12 @@ package myriapi
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fm/internal/cost"
 	"fm/internal/metrics"
+	"fm/internal/myrinet"
 )
 
 func apiPair(v Variant) (metrics.Pair, *Cluster) {
@@ -44,6 +46,72 @@ func TestAPIDeliversInOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("out of order at %d: %v", i, order[:i+1])
 		}
+	}
+}
+
+// TestAPIOrderPerSourceAcrossPeers: a sender numbers its frames across
+// all its peers, so a receiver sees each source's seqs rise with gaps.
+// Node 0 alternates between nodes 1 and 2; each must get its messages
+// in send order, with no out-of-order panic.
+func TestAPIOrderPerSourceAcrossPeers(t *testing.T) {
+	c := NewCluster(3, DefaultConfig(SendImm), cost.Default())
+	const n = 20
+	got := make([][]int, 3)
+	for dst := 1; dst <= 2; dst++ {
+		c.Start(dst, func(ep *Endpoint) {
+			ep.RegisterHandler(0, func(src int, p []byte) { got[dst] = append(got[dst], int(p[0])) })
+			for len(got[dst]) < n {
+				ep.WaitIncoming()
+				ep.Extract()
+			}
+		})
+	}
+	c.Start(0, func(ep *Endpoint) {
+		for i := 0; i < 2*n; i++ {
+			if err := ep.Send(1+i%2, 0, []byte{byte(i)}); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for dst := 1; dst <= 2; dst++ {
+		for j, v := range got[dst] {
+			if want := 2*j + dst - 1; v != want {
+				t.Fatalf("node %d message %d = %d, want %d (got %v)", dst, j, v, want, got[dst])
+			}
+		}
+	}
+}
+
+// TestAPIOutOfOrderPanics: the order check still fires on a frame whose
+// seq does not rise past the last one delivered from its source. Node 1
+// receives seqs 1 and 2 from node 0, then a forged seq-1 frame.
+func TestAPIOutOfOrderPanics(t *testing.T) {
+	c := NewCluster(2, DefaultConfig(SendImm), cost.Default())
+	c.Start(1, func(ep *Endpoint) {
+		delivered := 0
+		ep.RegisterHandler(0, func(int, []byte) { delivered++ })
+		for delivered < 2 {
+			ep.WaitIncoming()
+			ep.Extract()
+		}
+		forged := ep.dev.Fab.NewPacket()
+		forged.Src, forged.Dst, forged.Type, forged.Seq = 0, 1, myrinet.APIMessage, 1
+		ep.dev.HostRecvQ.Push(forged)
+		ep.Extract()
+	})
+	c.Start(0, func(ep *Endpoint) {
+		for i := 0; i < 2; i++ {
+			if err := ep.Send(1, 0, []byte{byte(i)}); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
+	err := c.Run()
+	if err == nil || !strings.Contains(err.Error(), `process "host1" panicked: myriapi: out-of-order delivery from 0: seq 1 after 2`) {
+		t.Fatalf("Run = %v, want an out-of-order panic naming the forged seq", err)
 	}
 }
 
