@@ -20,13 +20,13 @@
 //
 // Wall-clock ns/op is deliberately not gated — CI machines vary too
 // much — but allocs/op and B/op are close to repeatable. The widest
-// spread is BenchmarkShardedDrive's: eighteen runs of one build on a
-// 2-vCPU VM (go1.24) read 5,983-5,984 allocs/op and 776,030-776,170
+// spread is BenchmarkShardedDrive's: nineteen runs of one build on a
+// 2-vCPU VM (go1.24) read 3,093-3,094 allocs/op and 729,571-729,888
 // B/op, because the runtime allocates a descriptor for one of its two
-// shard goroutines only when no exited one is free. Six runs of each
-// other benchmark moved no allocs/op and at most 56 B/op. The default
-// x1.25 threshold absorbs that spread, so any growth beyond it is a
-// real regression in the engine's pooling/reuse discipline (see
+// shard goroutines only when no exited one is free. The same runs of
+// each other benchmark moved no allocs/op and at most 57 B/op. The
+// default x1.25 threshold absorbs that spread, so any growth beyond it
+// is a real regression in the engine's pooling/reuse discipline (see
 // DESIGN.md "Performance").
 //
 // To re-baseline, run the two bench commands above, edit the numbers

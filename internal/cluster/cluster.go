@@ -97,10 +97,16 @@ func Fabrics(g *sim.ShardGroup, build func(*sim.Kernel, *cost.Params) *myrinet.F
 	if err != nil {
 		return nil, nil, err
 	}
-	for s := range fabs {
-		s := s
-		fabs[s].SetShard(part, s, func(owner int, at sim.Time, pkt *myrinet.Packet) {
-			g.Shard(s).Post(owner, at, fabs[owner].ResumeCross, pkt)
+	// Bind each replica's continuation once: a method value evaluated
+	// inside the post callback would allocate on every crossing.
+	resume := make([]func(any), len(fabs))
+	for s, f := range fabs {
+		resume[s] = f.ResumeCross
+	}
+	for s, f := range fabs {
+		sh := g.Shard(s)
+		f.SetShard(part, s, func(owner int, at sim.Time, pkt *myrinet.Packet) {
+			sh.Post(owner, at, resume[owner], pkt)
 		})
 	}
 	return fabs, part, nil

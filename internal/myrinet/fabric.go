@@ -25,16 +25,7 @@ func (f SinkFunc) Arrive(p *Packet) { f(p) }
 // exactly its wire time, and two packets contending for the same output
 // serialize (the blocked worm stalls in the network).
 type Switch struct {
-	ports []*sim.Resource // one per output port
-}
-
-// newSwitch builds a crossbar with the given port count.
-func newSwitch(k *sim.Kernel, name string, ports int) *Switch {
-	s := &Switch{}
-	for i := 0; i < ports; i++ {
-		s.ports = append(s.ports, sim.NewResource(k, fmt.Sprintf("%s.out%d", name, i)))
-	}
-	return s
+	ports []sim.Resource // one per output port, a window of the fabric's port slice
 }
 
 // Ports returns the number of ports on the crossbar.
@@ -81,9 +72,9 @@ type Fabric struct {
 	p        *cost.Params
 	topo     *Topology
 	sinks    []Sink
-	uplinks  []*sim.Resource // node i -> first switch
+	uplinks  []sim.Resource // node i -> first switch
 	router   *router
-	switches []*Switch
+	switches []Switch
 	stats    Stats
 
 	// pool is the fabric-wide packet free list. One simulation is one
@@ -154,12 +145,19 @@ func NewFabric(k *sim.Kernel, p *cost.Params, t *Topology) *Fabric {
 		panic("myrinet: topology has no nodes")
 	}
 	f := &Fabric{k: k, p: p, topo: t, sinks: make([]Sink, len(t.nodes))}
+	// Every switch's output ports share one slice, and the uplinks
+	// another: two allocations for the fabric's resources whatever its
+	// size, and a hop reaches its port through two slice indexes.
+	nports := 0
 	for _, spec := range t.switches {
-		f.switches = append(f.switches, newSwitch(k, spec.name, spec.ports))
+		nports += spec.ports
 	}
-	for i := range t.nodes {
-		f.uplinks = append(f.uplinks, sim.NewResource(k, fmt.Sprintf("node%d.up", i)))
+	ports := sim.Resources(k, nports)
+	f.switches = make([]Switch, len(t.switches))
+	for i, spec := range t.switches {
+		f.switches[i].ports, ports = ports[:spec.ports:spec.ports], ports[spec.ports:]
 	}
+	f.uplinks = sim.Resources(k, len(t.nodes))
 	f.router = t.newRouter()
 	f.deliverFn = func(a any) {
 		pkt := a.(*Packet)
@@ -257,7 +255,7 @@ func (f *Fabric) Hops(src, dst int) int {
 func (f *Fabric) NumSwitches() int { return len(f.switches) }
 
 // SwitchAt returns switch i, in topology declaration order.
-func (f *Fabric) SwitchAt(i int) *Switch { return f.switches[i] }
+func (f *Fabric) SwitchAt(i int) *Switch { return &f.switches[i] }
 
 // Topology returns the fabric's topology description. Sharded runs use
 // it to compute the partition once and apply it to every replica (the

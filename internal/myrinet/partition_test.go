@@ -103,10 +103,16 @@ func shardedClos(p *cost.Params, shards, spines, leaves, npl, ports int) (*sim.S
 	if err != nil {
 		panic(err)
 	}
-	for s := 0; s < shards; s++ {
-		s := s
-		fabs[s].SetShard(part, s, func(owner int, at sim.Time, pkt *Packet) {
-			g.Shard(s).Post(owner, at, fabs[owner].ResumeCross, pkt)
+	// The same wiring as cluster.Fabrics: one bound continuation per
+	// replica.
+	resume := make([]func(any), shards)
+	for s, f := range fabs {
+		resume[s] = f.ResumeCross
+	}
+	for s, f := range fabs {
+		sh := g.Shard(s)
+		f.SetShard(part, s, func(owner int, at sim.Time, pkt *Packet) {
+			sh.Post(owner, at, resume[owner], pkt)
 		})
 	}
 	return g, fabs, part

@@ -23,6 +23,18 @@ func NewResource(k *Kernel, name string) *Resource {
 	return &Resource{k: k, name: name}
 }
 
+// Resources returns n unnamed resources attached to k, held by value
+// in one slice: a model with thousands of them (a fabric's switch
+// ports) makes one allocation instead of one per resource, and its hot
+// path reaches each one through a single slice index.
+func Resources(k *Kernel, n int) []Resource {
+	rs := make([]Resource, n)
+	for i := range rs {
+		rs[i].k = k
+	}
+	return rs
+}
+
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 

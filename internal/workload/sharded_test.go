@@ -1,11 +1,11 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"fm/internal/core"
 	"fm/internal/cost"
-	"fm/internal/sim"
 )
 
 // TestOneShardRegression pins the one-shard outcome of the raw and the
@@ -63,23 +63,42 @@ func TestDriveRawShardedDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedRawRegression pins the `-shards 2` outcome for the
-// fabrics-style Clos-64 all-to-all point, so any change to the barrier,
-// drain order, or partition assignment shows up as a diff here instead
-// of silently shifting published numbers.
+// TestShardedRawRegression pins the sharded outcome of the
+// fabrics-style Clos-64 all-to-all point at 2 and 4 shards: completion
+// time and the latency distribution in ps, and every shard's events,
+// cross-shard posts and barrier windows. Any change to the barrier,
+// drain order, partition assignment or cross-shard packet walk shows
+// up as a diff here instead of silently shifting published numbers.
 func TestShardedRawRegression(t *testing.T) {
 	p := cost.Default()
-	res := DriveRawSharded(ClosSpec(64), p, AllToAll{Rounds: 1}, 112, 2)
-	if res.Messages != 64*63 {
-		t.Fatalf("messages = %d, want %d", res.Messages, 64*63)
-	}
-	if res.Latency.Count() != uint64(res.Messages) {
-		t.Fatalf("latency samples = %d, want %d", res.Latency.Count(), res.Messages)
-	}
-	// The pinned completion time of this exact configuration (102.95us).
-	const wantElapsed = 102950000 * sim.Picosecond
-	if res.Elapsed != wantElapsed {
-		t.Fatalf("elapsed = %d ps (%v), pinned %d ps (%v)", res.Elapsed, res.Elapsed, wantElapsed, wantElapsed)
+	for _, tc := range []struct {
+		shards   int
+		elapsed  int64       // ps
+		lat      [6]int64    // latPin: Count, Min, Max, Mean, P50, P99
+		perShard [][3]uint64 // Events, Posted, Windows
+	}{
+		{2, 102950000, [6]int64{4032, 2150000, 5350000, 3206250, 3211264, 3735552},
+			[][3]uint64{{5856, 1792, 128}, {5856, 1792, 128}}},
+		{4, 102950000, [6]int64{4032, 2150000, 5350000, 3214930, 3211264, 5242880},
+			[][3]uint64{{3376, 1344, 128}, {3376, 1344, 128}, {3376, 1344, 128}, {3376, 1344, 128}}},
+	} {
+		res := DriveRawSharded(ClosSpec(64), p, AllToAll{Rounds: 1}, 112, tc.shards)
+		if res.Messages != 64*63 {
+			t.Fatalf("%d shards: messages = %d, want %d", tc.shards, res.Messages, 64*63)
+		}
+		if int64(res.Elapsed) != tc.elapsed {
+			t.Errorf("%d shards: elapsed = %d ps (%v), pinned %d ps", tc.shards, res.Elapsed, res.Elapsed, tc.elapsed)
+		}
+		if got := latPin(&res.Latency); got != tc.lat {
+			t.Errorf("%d shards: latency = %v, pinned %v", tc.shards, got, tc.lat)
+		}
+		got := make([][3]uint64, len(res.Shards))
+		for i, s := range res.Shards {
+			got[i] = [3]uint64{s.Events, s.Posted, s.Windows}
+		}
+		if !slices.Equal(got, tc.perShard) {
+			t.Errorf("%d shards: per-shard events/posted/windows = %v, pinned %v", tc.shards, got, tc.perShard)
+		}
 	}
 }
 
