@@ -5,8 +5,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"fm/internal/cost"
 	"fm/internal/host"
 	"fm/internal/lanai"
@@ -128,7 +126,7 @@ func place(g *sim.ShardGroup, part *myrinet.Partition, p *cost.Params, fabs []*m
 		s := part.Owner(id)
 		k := g.Shard(s).Kernel()
 		st := &h.stacks[id]
-		h.Buses[id] = sbus.NewAt(&st.bus, k, p, fmt.Sprintf("sbus%d", id))
+		h.Buses[id] = sbus.NewAt(&st.bus, k, p)
 		h.CPUs[id] = host.NewAt(&st.cpu, k, p, h.Buses[id], id)
 		h.Devs[id] = lanai.NewAt(&st.dev, k, p, h.Buses[id], fabs[s], id, qc)
 	}

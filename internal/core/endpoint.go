@@ -160,7 +160,10 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 		return fmt.Errorf("fm: handler id %d out of range", handler)
 	}
 
-	ep.cpu.Advance(ep.p.HostSendCall)
+	// Until pushFrame reaches the SBus, Send reads and writes only the
+	// endpoint's own state, the packet it draws and the fabric's packet
+	// pool, so its host costs are charged and paid in one chain there.
+	ep.cpu.Charge(ep.p.HostSendCall)
 
 	pkt := ep.newPacket()
 	pkt.Dst = dst
@@ -169,7 +172,7 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 	pkt.SetPayload(payload) // the layer copies data off the user buffer
 
 	if ep.cfg.FlowControl {
-		ep.cpu.Advance(ep.p.HostFlowControlSend)
+		ep.cpu.Charge(ep.p.HostFlowControlSend)
 		ep.waitWindow(dst)
 		ep.nextSeq++
 		pkt.Seq = ep.nextSeq
@@ -264,7 +267,7 @@ func (ep *Endpoint) attachAcks(pkt *myrinet.Packet) {
 	if len(seqs) == 0 {
 		return
 	}
-	ep.cpu.Advance(ep.p.HostAckBuild)
+	ep.cpu.Charge(ep.p.HostAckBuild)
 	pkt.Acks = coalesce(pkt.Acks[:0], seqs)
 	ep.stats.AcksPiggybacked++
 	ep.stats.SeqsAcked += uint64(len(seqs))
@@ -281,12 +284,10 @@ func (ep *Endpoint) pushFrame(pkt *myrinet.Packet) {
 	// LANai send queue and updates the hostsent counter — one
 	// synchronization, no memory-to-memory copy.
 	if ep.cfg.BufferMgmt {
-		ep.cpu.Advance(ep.p.HostBufMgmtSend)
+		ep.cpu.Charge(ep.p.HostBufMgmtSend)
 		ep.ensureSpace(ep.dev.SendQ, &ep.cachedSendConsumed)
 	} else {
-		for ep.dev.SendQ.Full() {
-			ep.cpu.Wait(ep.dev.SendFreed)
-		}
+		ep.waitSlot(ep.dev.SendQ)
 	}
 	ep.cpu.PIOWrite(pkt.WireBytes())
 	ep.dev.SendQ.Push(pkt)
@@ -299,12 +300,10 @@ func (ep *Endpoint) pushFrame(pkt *myrinet.Packet) {
 // synchronizations (Section 4.3's all-DMA architecture).
 func (ep *Endpoint) pushFrameAllDMA(pkt *myrinet.Packet) {
 	if ep.cfg.BufferMgmt {
-		ep.cpu.Advance(ep.p.HostBufMgmtSend)
+		ep.cpu.Charge(ep.p.HostBufMgmtSend)
 		ep.ensureSpace(ep.dev.HostOutQ, &ep.cachedOutConsumed)
 	} else {
-		for ep.dev.HostOutQ.Full() {
-			ep.cpu.Wait(ep.dev.SendFreed)
-		}
+		ep.waitSlot(ep.dev.HostOutQ)
 	}
 	ep.cpu.Memcpy(pkt.WireBytes())
 	ep.dev.HostOutQ.Push(pkt)
@@ -318,22 +317,27 @@ func (ep *Endpoint) pushFrameAllDMA(pkt *myrinet.Packet) {
 // owns the produced counter and caches the LANai's consumed counter,
 // paying an expensive SBus status read only when its cached view says the
 // queue is full ("allowing each to own its respective counter reduces the
-// amount of synchronization", Section 4.4).
+// amount of synchronization", Section 4.4). The host is the queue's only
+// producer and the LANai's count only grows, so a cached view with room
+// is never wrong, and that check reads nothing the LANai writes: it may
+// run with host charges owed.
 func (ep *Endpoint) ensureSpace(q *ring.Ring[*myrinet.Packet], cached *uint64) {
-	for {
-		if q.Produced()-*cached < uint64(q.Cap()) {
-			if !q.Full() {
-				return
-			}
-			// Cached view was stale in the unsafe direction; fall
-			// through to refresh. (Cannot happen with a single producer,
-			// kept for defense.)
-		}
+	for q.Produced()-*cached >= uint64(q.Cap()) {
 		ep.cpu.StatusRead()
 		*cached = q.Consumed()
 		if !q.Full() {
 			return
 		}
+		ep.cpu.Wait(ep.dev.SendFreed)
+	}
+}
+
+// waitSlot blocks until q has a free slot, the vestigial layer's check
+// without a cached counter: it reads the LANai's consumed count, so the
+// host pays what it owes first.
+func (ep *Endpoint) waitSlot(q *ring.Ring[*myrinet.Packet]) {
+	ep.cpu.Pay()
+	for q.Full() {
 		ep.cpu.Wait(ep.dev.SendFreed)
 	}
 }

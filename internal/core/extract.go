@@ -22,7 +22,7 @@ const consumedSyncBatch = 8
 func (ep *Endpoint) Extract() int {
 	ep.cpu.Advance(ep.p.HostExtractPoll)
 	delivered := 0
-	for !ep.dev.HostRecvQ.Empty() {
+	for ep.recvBacklog() > 0 {
 		if ep.cfg.DrainLimit > 0 && delivered >= ep.cfg.DrainLimit {
 			break
 		}
@@ -62,13 +62,24 @@ func (ep *Endpoint) retryDue() bool {
 // HasIncoming reports whether Extract would find packets.
 func (ep *Endpoint) HasIncoming() bool { return !ep.dev.HostRecvQ.Empty() }
 
+// recvBacklog pays what the host owes, then reads how many packets wait
+// in the host receive queue: the LANai fills that ring, so the read
+// belongs at the host's own instant. Processing a packet leaves charges
+// owed, and the receive loops call this before each next packet.
+func (ep *Endpoint) recvBacklog() int {
+	ep.cpu.Pay()
+	return ep.dev.HostRecvQ.Len()
+}
+
 // popRecv dequeues one packet from the host receive queue, charging the
-// per-packet host costs.
+// per-packet host costs. From here to the handler call (or to the next
+// recvBacklog) the host touches only its own state and the packet, so
+// the costs stay owed.
 func (ep *Endpoint) popRecv() *myrinet.Packet {
 	pkt := ep.dev.HostRecvQ.Pop()
-	ep.cpu.Advance(ep.p.HostExtractPacket)
+	ep.cpu.Charge(ep.p.HostExtractPacket)
 	if ep.cfg.BufferMgmt {
-		ep.cpu.Advance(ep.p.HostBufMgmtRecv)
+		ep.cpu.Charge(ep.p.HostBufMgmtRecv)
 	}
 	return pkt
 }
@@ -162,7 +173,7 @@ func (ep *Endpoint) requeue(pkt *myrinet.Packet) {
 // to release.
 func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 	if ep.cfg.FlowControl {
-		ep.cpu.Advance(ep.p.HostFlowControlRecv)
+		ep.cpu.Charge(ep.p.HostFlowControlRecv)
 		if ep.isDuplicate(pkt) {
 			ep.stats.Duplicates++
 			if ep.cfg.CheckInvariants {
@@ -180,8 +191,9 @@ func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 		panic(fmt.Sprintf("fm: no handler %d registered on node %d", pkt.Handler, ep.NodeID()))
 	}
 	ep.cpu.MemRead(len(pkt.Payload))
-	ep.cpu.Advance(ep.p.HostHandlerDispatch)
+	ep.cpu.Charge(ep.p.HostHandlerDispatch)
 	ep.stats.Delivered++
+	ep.cpu.Pay() // the handler may touch anything
 	h(pkt.Src, pkt.Payload)
 	ep.release(pkt)
 }
@@ -211,7 +223,7 @@ func (ep *Endpoint) isDuplicate(pkt *myrinet.Packet) bool {
 
 // processAcks releases outstanding slots for acknowledged sequences.
 func (ep *Endpoint) processAcks(ranges []myrinet.SeqRange) {
-	ep.cpu.Advance(ep.p.HostFlowControlRecv)
+	ep.cpu.Charge(ep.p.HostFlowControlRecv)
 	for _, r := range ranges {
 		for s := r.Lo; s <= r.Hi; s++ {
 			delete(ep.outstanding, s)
@@ -227,7 +239,7 @@ func (ep *Endpoint) shedOverload() {
 	if ep.cfg.RejectThreshold <= 0 || ep.cfg.Protocol != ReturnToSender {
 		return
 	}
-	for ep.dev.HostRecvQ.Len() > ep.cfg.RejectThreshold {
+	for ep.recvBacklog() > ep.cfg.RejectThreshold {
 		pkt := ep.popRecv()
 		switch pkt.Type {
 		case myrinet.Data, myrinet.Retransmit:
@@ -298,7 +310,7 @@ func (ep *Endpoint) sendAck(src int) {
 	if len(seqs) == 0 {
 		return
 	}
-	ep.cpu.Advance(ep.p.HostAckBuild)
+	ep.cpu.Charge(ep.p.HostAckBuild)
 	pkt := ep.newPacket()
 	pkt.Dst = src
 	pkt.Type = myrinet.Ack

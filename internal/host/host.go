@@ -61,12 +61,26 @@ func (c *CPU) Proc() *sim.Proc {
 // Now returns the current virtual time.
 func (c *CPU) Now() sim.Time { return c.K.Now() }
 
-// Advance charges d of pure host computation. Like every blocking CPU
-// method, it costs no heap allocation in the steady state: sleeps and
-// signal waits schedule argument-style kernel events, and a wait appends
-// the process itself to the signal's reused waiter list (see DESIGN.md
-// "Performance"), so per-message host charges never churn the garbage
-// collector.
+// Charge books d of host computation that reads and writes nothing
+// another process or device can see: the endpoint's own fields, the
+// packet it holds, the fabric's packet pool. The time passes at the
+// next Pay, or at the next CPU call that touches the SBus or blocks,
+// which pays first; until then the caller must read no clock, touch no
+// LANai ring or register, pulse or schedule nothing, and call no
+// handler. See DESIGN.md "Self-driving processes on coroutines".
+func (c *CPU) Charge(d sim.Duration) { c.Proc().Charge(d) }
+
+// Pay takes the charges booked since the last pay: every one is a
+// separate wake at the instant a plain sleep per charge would give, but
+// the application resumes once, at the last.
+func (c *CPU) Pay() { c.Proc().Pay() }
+
+// Advance charges d of pure host computation and pays it, with what was
+// booked before. Like every blocking CPU method, it costs no heap
+// allocation in the steady state: sleeps and signal waits schedule
+// argument-style kernel events, and a wait appends the process itself
+// to the signal's reused waiter list (see DESIGN.md "Performance"), so
+// per-message host charges never churn the garbage collector.
 func (c *CPU) Advance(d sim.Duration) { c.Proc().Sleep(d) }
 
 // Memcpy charges a host memory-to-memory copy of n bytes (user buffer to
@@ -77,11 +91,12 @@ func (c *CPU) Memcpy(n int) {
 	}
 }
 
-// MemRead charges the host reading n bytes of received data out of the
-// DMA region (cached reads).
+// MemRead charges (without paying) the host reading n bytes of
+// received data out of the DMA region: cached reads of a packet the
+// host holds.
 func (c *CPU) MemRead(n int) {
 	if n > 0 {
-		c.Proc().Sleep(sim.Duration(n) * c.P.HostMemReadByte)
+		c.Proc().Charge(sim.Duration(n) * c.P.HostMemReadByte)
 	}
 }
 

@@ -36,19 +36,50 @@ func TestMemcpyAndMemReadCosts(t *testing.T) {
 		if afterCopy != sim.Time(c.P.MemcpyTime(1000)) {
 			t.Errorf("memcpy took %v", afterCopy)
 		}
-		c.MemRead(800)
+		c.MemRead(800) // a charge: the time passes at the pay
+		if c.Now() != afterCopy {
+			t.Errorf("memread moved the clock before the pay: %v", c.Now())
+		}
+		c.Pay()
 		read := c.Now().Sub(afterCopy)
 		if read != 800*c.P.HostMemReadByte {
 			t.Errorf("memread took %v", read)
 		}
 		c.Memcpy(0)
 		c.MemRead(0)
+		c.Pay()
 		if c.Now() != afterCopy.Add(read) {
 			t.Error("zero-byte ops consumed time")
 		}
 	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChargesPayAtTheBus: charges leave the clock alone until a call
+// that touches the SBus pays them, and each charge is still its own
+// wake, so the event count matches a sleep per charge.
+func TestChargesPayAtTheBus(t *testing.T) {
+	k, c := newCPU()
+	c.Start(func() {
+		c.Charge(300 * sim.Nanosecond)
+		c.Charge(0)
+		c.Charge(200 * sim.Nanosecond)
+		if c.Now() != 0 {
+			t.Errorf("charges moved the clock to %v before a pay", c.Now())
+		}
+		c.ControlWrite()
+		if want := sim.Time(500*sim.Nanosecond + c.P.SBusControlWrite); c.Now() != want {
+			t.Errorf("after the control write now = %v, want %v", c.Now(), want)
+		}
+	})
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	// The spawn wake, three charge wakes and the write's own wake.
+	if n := k.EventsRun(); n != 5 {
+		t.Errorf("%d events, want 5", n)
 	}
 }
 

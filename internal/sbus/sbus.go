@@ -32,16 +32,18 @@ type Bus struct {
 	stats Stats
 }
 
-// New creates a bus for one node.
+// New creates a bus for one node. The name is unused; the parameter
+// stays until perfbench's Table 4 rebuild, its caller outside this
+// module's internals, is replaced by the real driver (ROADMAP item 6).
 func New(k *sim.Kernel, p *cost.Params, name string) *Bus {
-	return NewAt(new(Bus), k, p, name)
+	return NewAt(new(Bus), k, p)
 }
 
 // NewAt initializes a bus in caller-provided storage and returns it.
 // The cluster layer allocates every node's full stack in one slice
 // (cluster.nodeStack); NewAt is the in-place form New wraps.
-func NewAt(b *Bus, k *sim.Kernel, p *cost.Params, name string) *Bus {
-	*b = Bus{k: k, p: p, res: sim.NewResource(k, name)}
+func NewAt(b *Bus, k *sim.Kernel, p *cost.Params) *Bus {
+	*b = Bus{k: k, p: p, res: sim.NewResource(k)}
 	return b
 }
 

@@ -101,8 +101,10 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) {
 // process that gets its own wake back just keeps running.
 //
 // A process wake is always a wake event (fn == nil, arg = *Proc, as
-// Sleep, Pulse and Spawn schedule it), handled here without any
-// dispatch; event callbacks never resume a process themselves.
+// Sleep, Pay, Pulse and Spawn schedule it), handled here without any
+// dispatch; event callbacks never resume a process themselves. A wake
+// that pops while its process still owes chained sleeps (Proc.Pay)
+// resumes nothing: drive schedules the next sleep itself and runs on.
 //
 // Events sharing a timestamp drain in an inner batch loop: the clock is
 // written once and the horizon is not re-checked, because an event at
@@ -130,10 +132,21 @@ func (k *Kernel) drive() *Proc {
 		k.now = e.at
 		for {
 			k.eventsRun++
-			if e.fn == nil {
-				return e.arg.(*Proc)
+			if e.fn != nil {
+				e.call()
+			} else if p := e.arg.(*Proc); p.link == p.owing {
+				return p
+			} else {
+				// A chained wake: schedule the process's next owed
+				// sleep, taking the seq its own Sleep would take here,
+				// and drive on without resuming it.
+				d := p.owed[p.link]
+				p.link++
+				k.seq++
+				if w := (event{at: k.now.Add(d), seq: k.seq, arg: p}); !q.pushFast(w) {
+					q.pushSlow(w)
+				}
 			}
-			e.call()
 			if k.failure != nil || !q.NextIsAt(k.now) {
 				break
 			}

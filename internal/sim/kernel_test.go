@@ -140,7 +140,7 @@ func TestSignalNoMemory(t *testing.T) {
 
 func TestResourceFIFO(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "bus")
+	r := NewResource(k)
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("u", func(p *Proc) {
@@ -165,7 +165,7 @@ func TestResourceFIFO(t *testing.T) {
 
 func TestResourceReserveNonBlocking(t *testing.T) {
 	k := NewKernel()
-	r := NewResource(k, "dma")
+	r := NewResource(k)
 	k.At(0, func() {
 		s1, e1 := r.Reserve(5 * Microsecond)
 		s2, e2 := r.Reserve(5 * Microsecond)
@@ -276,7 +276,7 @@ func TestDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
 		s := NewSignal(k)
-		r := NewResource(k, "r")
+		r := NewResource(k)
 		total := 0
 		for i := 0; i < 20; i++ {
 			d := Duration(rng.Intn(1000)+1) * Nanosecond
@@ -426,6 +426,76 @@ func TestLadderSameInstantBurst(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after drain", q.Len())
+	}
+}
+
+// TestLadderKeySortMatchesComparisonSort: a transfer's packed-key
+// gather must give the exact (at, seq) order for every bucket the key
+// fits: up to keyCap events over spans up to the key's limit, heavy on
+// ties, with seqs drawn at random except that equal-time events come in
+// seq order, the one property a bucket guarantees.
+func TestLadderKeySortMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(keyCap)
+		lo := Time(rng.Int63n(1 << 40))
+		span := int64(1) << rng.Intn(64-keyBits)
+		b := make([]event, n)
+		seqs := rng.Perm(n)
+		for i := range b {
+			b[i].at = lo + Time(rng.Int63n(span))
+		}
+		// Hand each time's seqs out in index order.
+		byTime := map[Time][]int{}
+		for i := range b {
+			byTime[b[i].at] = append(byTime[b[i].at], seqs[i])
+		}
+		for _, ss := range byTime {
+			sort.Ints(ss)
+		}
+		for i := range b {
+			ss := byTime[b[i].at]
+			b[i].seq, byTime[b[i].at] = uint64(ss[0]), ss[1:]
+		}
+		want := make([]ladderKey, n)
+		for i, e := range b {
+			want[i] = ladderKey{e.at, e.seq}
+		}
+		sortKeys(want)
+		var keys [keyCap]uint64
+		got := sortedInto(nil, b, lo, &keys)
+		for i := range want {
+			if got[i].at != want[i].at || got[i].seq != want[i].seq {
+				t.Fatalf("trial %d (%d events over %d ps): position %d = (%v, %d), want (%v, %d)",
+					trial, n, span, i, got[i].at, got[i].seq, want[i].at, want[i].seq)
+			}
+		}
+	}
+}
+
+// TestLadderWideSpans: pops stay in exact order when pending times
+// spread over the whole clock, so rung buckets span up to the packed
+// key's limit.
+func TestLadderWideSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q ladder
+	var keys []ladderKey
+	for i := 0; i < 5000; i++ {
+		at := Time(rng.Int63n(int64(MaxTime)))
+		if i%3 == 0 && len(keys) > 0 {
+			at = keys[rng.Intn(len(keys))].at // a tie
+		}
+		q.Push(event{at: at, seq: uint64(i)})
+		keys = append(keys, ladderKey{at, uint64(i)})
+	}
+	sortKeys(keys)
+	for i, want := range keys {
+		if got := q.Pop(); got.at != want.at || got.seq != want.seq {
+			t.Fatalf("pop %d = (%v, %d), want (%v, %d)", i, got.at, got.seq, want.at, want.seq)
+		}
+	}
+	if q.transfers == 0 {
+		t.Fatal("no bucket transfer ran")
 	}
 }
 

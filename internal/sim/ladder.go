@@ -54,7 +54,16 @@ const (
 	// maxRungs bounds refinement depth; a bucket touched at the limit is
 	// sorted wholesale instead of split further.
 	maxRungs = 48
+	// keyBits is the width of the event index in a transfer's sort key
+	// (see sortedInto); a bucket of up to keyCap events sorts as packed
+	// keys. Only a bucket at the maxRungs depth can hold more, since a
+	// shallower one is split past splitThreshold.
+	keyBits = 7
+	keyCap  = 1 << keyBits
 )
+
+// A bucket that may not be split must still fit the packed key.
+const _ = uint(keyCap - splitThreshold)
 
 // rung is one far-future refinement level: rungBuckets contiguous
 // time slots of equal width starting at base. Buckets before cur have
@@ -68,6 +77,11 @@ type rung struct {
 	used    int      // buckets spanned by this rung (indexes < used)
 	count   int      // events remaining in this rung
 	buckets [rungBuckets][]event
+	// keys is a transfer's sort scratch (sortedInto). It lives here, in
+	// memory the rung keeps anyway, and not on the stack of whichever
+	// process drives the transfer: a kilobyte there grew every host
+	// coroutine's stack past its first 8 KiB.
+	keys [keyCap]uint64
 }
 
 // boundary returns the exclusive upper time bound of bucket i-1 (the
@@ -402,37 +416,46 @@ func (q *ladder) refill() {
 				r.cur++
 				continue
 			}
-			// Transfer: this bucket becomes the near tier. Buckets are
-			// seq-sorted by construction, so an equal-timestamp bucket
-			// (hi == lo) is already in final order.
+			// Transfer: this bucket becomes the near tier. Equal-time
+			// events in a bucket are in seq order by construction, so an
+			// equal-timestamp bucket (hi == lo) is already in final
+			// order, and one the packed key fits is gathered into the
+			// near tier in key order (sortedInto).
 			q.transfers++
-			if hi > lo {
-				slices.SortFunc(b, func(x, y event) int {
-					if x.at != y.at {
-						if x.at < y.at {
+			if hi > lo && len(b) <= keyCap && uint64(hi-lo) < 1<<(64-keyBits) {
+				q.near = sortedInto(q.near, b, lo, &r.keys)
+				clear(b)
+				r.buckets[r.cur] = b[:0]
+			} else {
+				if hi > lo {
+					slices.SortFunc(b, func(x, y event) int {
+						if x.at != y.at {
+							if x.at < y.at {
+								return -1
+							}
+							return 1
+						}
+						if x.seq < y.seq {
 							return -1
 						}
 						return 1
-					}
-					if x.seq < y.seq {
-						return -1
-					}
-					return 1
-				})
-			}
-			// Adopt the bucket's array as the near tier when it is at
-			// least as large as the current one; otherwise copy into the
-			// retained near array. Either way the larger capacity
-			// survives, so the near tier reaches a high-water mark once
-			// and transfers allocation-free from then on.
-			if cap(b) >= cap(q.near) {
-				old := q.near
-				q.near = b
-				r.buckets[r.cur] = old[:0]
-			} else {
-				q.near = append(q.near[:0], b...)
-				clear(b)
-				r.buckets[r.cur] = b[:0]
+					})
+				}
+				// Adopt the bucket's array as the near tier when it is
+				// at least as large as the current one; otherwise copy
+				// into the retained near array. Either way the larger
+				// capacity survives, so the near tier reaches a
+				// high-water mark once and transfers allocation-free
+				// from then on.
+				if cap(b) >= cap(q.near) {
+					old := q.near
+					q.near = b
+					r.buckets[r.cur] = old[:0]
+				} else {
+					q.near = append(q.near[:0], b...)
+					clear(b)
+					r.buckets[r.cur] = b[:0]
+				}
 			}
 			q.head = 0
 			r.count -= len(b)
@@ -455,4 +478,24 @@ func (q *ladder) refill() {
 		q.nearEnd = MaxTime
 		return
 	}
+}
+
+// sortedInto appends the events of bucket b to dst in (at, seq) order,
+// using keys as scratch. b holds at most keyCap events, all within
+// 1<<(64-keyBits) ps of lo. Each event's key packs its offset from lo
+// above its index in b, so one sort of plain integers orders the
+// bucket: ties in time fall to index order, which is seq order, because
+// a bucket receives its equal-time events in seq order (pushes take
+// rising seqs, and a spill or split adds events in (at, seq) order).
+func sortedInto(dst, b []event, lo Time, keys *[keyCap]uint64) []event {
+	ks := keys[:len(b)]
+	for i := range b {
+		ks[i] = uint64(b[i].at-lo)<<keyBits | uint64(i)
+	}
+	slices.Sort(ks)
+	dst = slices.Grow(dst, len(b))
+	for _, key := range ks {
+		dst = append(dst, b[key&(keyCap-1)])
+	}
+	return dst
 }

@@ -56,7 +56,22 @@ type Proc struct {
 	// fails while driving can leave stale wake state behind for teardown
 	// to encounter.
 	dead bool
+
+	// link and owing describe the chain of sleeps the process owes:
+	// owed[:owing] are booked by Charge, and while Pay takes them,
+	// link indexes the next one, which the kernel schedules itself when
+	// the current wake pops (see Kernel.drive). The wake that finds
+	// link == owing resumes the process. They sit beside the flags so a
+	// wake touches no cache line the flags do not.
+	link, owing uint8
+	owed        [chainCap]Duration
 }
+
+// chainCap is how many charges a process can owe at once: the longest
+// run of private host work between two touches of shared state in the
+// FM endpoint. A further Charge pays the chain first, which costs one
+// more resume and changes nothing else.
+const chainCap = 6
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -156,6 +171,7 @@ func (p *Proc) run() {
 		p.dead, p.parked, p.fn = true, false, nil
 	}()
 	p.fn(p)
+	p.Pay() // a body that ends owing sleeps still takes them
 }
 
 // block gives up control and waits to be resumed. The blocking process
@@ -181,12 +197,62 @@ func (p *Proc) block() {
 	}
 }
 
+// Charge books a sleep of d that the process owes but need not take
+// yet: the time of work that reads and writes nothing another process
+// or device can see. The process takes its owed sleeps, in booking
+// order, at its next Pay, Sleep, SleepUntil, Wait or Use, or when its
+// body returns, and until then it must touch no shared state and read
+// no clock. Every event, instant and seq is then exactly what a Sleep
+// per charge gives, but the process resumes once per chain instead of
+// once per sleep.
+func (p *Proc) Charge(d Duration) {
+	if d < 0 {
+		panic("sim: negative charge")
+	}
+	if p.owing == chainCap {
+		p.Pay()
+	}
+	p.owed[p.owing] = d
+	p.owing++
+}
+
+// Pay takes the sleeps the process owes: it schedules the first wake
+// and blocks, and each wake that pops schedules the next sleep from
+// inside the kernel (Kernel.drive), at the same point in the event
+// order as the process's own Sleep would have. Only the last wake
+// resumes the process. With nothing owed, Pay does nothing.
+func (p *Proc) Pay() {
+	if p.owing == 0 {
+		return
+	}
+	k := p.k
+	end := k.now
+	for _, d := range p.owed[:p.owing] {
+		if end = end.Add(d); end < k.now {
+			panic("sim: sleep overflows the clock")
+		}
+	}
+	p.link = 1
+	k.seq++
+	if e := (event{at: k.now.Add(p.owed[0]), seq: k.seq, arg: p}); !k.q.pushFast(e) {
+		k.q.pushSlow(e)
+	}
+	p.block()
+	p.link, p.owing = 0, 0
+}
+
 // Sleep advances the process's local time by d, yielding to other
 // activities in between. Sleep(0) yields and resumes after other events
-// already scheduled at this instant.
+// already scheduled at this instant. It is Charge(d) then Pay, and
+// costs a plain wake when nothing else is owed.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
+	}
+	if p.owing > 0 {
+		p.Charge(d)
+		p.Pay()
+		return
 	}
 	// Hand-inlined schedule: Sleep is the hottest schedule site in
 	// process-heavy simulations.
@@ -202,9 +268,11 @@ func (p *Proc) Sleep(d Duration) {
 	p.block()
 }
 
-// SleepUntil blocks the process until absolute time t. If t is not after
-// the current time, it still yields once.
+// SleepUntil blocks the process until absolute time t, after paying
+// what it owes. If t is not after the current time, it still yields
+// once.
 func (p *Proc) SleepUntil(t Time) {
+	p.Pay()
 	if t < p.k.now {
 		t = p.k.now
 	}

@@ -11,19 +11,18 @@ package sim
 // arbitration, with far less bookkeeping than a queue of processes.
 type Resource struct {
 	k    *Kernel
-	name string
 	free Time
 
 	// busy accumulates granted service time for utilization reporting.
 	busy Duration
 }
 
-// NewResource creates a resource attached to k, labelled name.
-func NewResource(k *Kernel, name string) *Resource {
-	return &Resource{k: k, name: name}
+// NewResource creates a resource attached to k.
+func NewResource(k *Kernel) *Resource {
+	return &Resource{k: k}
 }
 
-// Resources returns n unnamed resources attached to k, held by value
+// Resources returns n resources attached to k, held by value
 // in one slice: a model with thousands of them (a fabric's switch
 // ports) makes one allocation instead of one per resource, and its hot
 // path reaches each one through a single slice index.
@@ -34,9 +33,6 @@ func Resources(k *Kernel, n int) []Resource {
 	}
 	return rs
 }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
 
 // Reserve books the next available interval of length d and returns its
 // start and end instants. It does not block; device state machines use it
@@ -79,9 +75,11 @@ func (r *Resource) Utilization() float64 {
 }
 
 // Use blocks the calling process while it holds the resource for d:
-// it reserves the next available interval and sleeps until the interval
-// ends. It returns the instant service began (after any queueing delay).
+// it pays what the process owes, reserves the next available interval
+// and sleeps until the interval ends. It returns the instant service
+// began (after any queueing delay).
 func (p *Proc) Use(r *Resource, d Duration) Time {
+	p.Pay()
 	start, end := r.Reserve(d)
 	p.SleepUntil(end)
 	return start

@@ -67,11 +67,12 @@ func (s *Signal) Notify(fn func(any), arg any) {
 	s.waiters = append(s.waiters, waiter{fn: fn, arg: arg})
 }
 
-// Wait blocks the calling process until the next Pulse. The process
-// leaves the waiter list exactly when Pulse wakes it, so a process is
-// listed on at most one signal at a time and waiting allocates nothing
-// once the list has grown.
+// Wait pays what the process owes, then blocks it until the next
+// Pulse. The process leaves the waiter list exactly when Pulse wakes
+// it, so a process is listed on at most one signal at a time and
+// waiting allocates nothing once the list has grown.
 func (p *Proc) Wait(s *Signal) {
+	p.Pay()
 	s.waiters = append(s.waiters, waiter{arg: p})
 	p.park()
 }

@@ -108,6 +108,19 @@ func TestFMDriversPinned(t *testing.T) {
 		}, fmPin{Elapsed: 1476856000,
 			Lat:    [6]int64{800, 29508000, 1218474000, 362383952, 310378496, 1040187392},
 			Series: [4]uint64{800, 800, 89600, 33}}},
+		// 3 MB/s/node of 112-byte messages, past the clos-64 knee (about
+		// 2-2.5 MB/s/node): receive queues back up, so the Extract loop
+		// keeps finding packets that arrived during the host's own
+		// per-packet work. Reading the queue before that work is paid
+		// moves these values.
+		{"SoakDriveFM clos-64 poisson past the knee", func() fmPin {
+			src := PoissonSource{Base: UniformRandom{Seed: 1995, Packets: 16}, Seed: 1995,
+				MeanGap: 35600 * sim.Nanosecond, Horizon: 5 * sim.Millisecond}
+			return soakPin(SoakDriveFM(ClosSpec(64), cfg, p, src, 112,
+				SoakOptions{Width: sim.Millisecond, Mode: TerminateHorizon}))
+		}, fmPin{Elapsed: 5638929095,
+			Lat:    [6]int64{9366, 25014170, 1500944103, 131023463, 57671680, 754974720},
+			Series: [4]uint64{9366, 9366, 1048992, 0}}},
 		{"DriveMPI clos-8 uniform-random", func() fmPin {
 			r := DriveMPI(ClosSpec(8), cfg, p, UniformRandom{Seed: 9, Packets: 4}, 112)
 			return fmPin{Elapsed: int64(r.Elapsed), Lat: latPin(&r.Latency)}
