@@ -1,14 +1,14 @@
 // Command benchcheck guards the allocation discipline of the hot-path
 // benchmarks: it parses `go test -bench` output and fails unless the
 // run holds exactly the benchmarks the committed gate file
-// BENCH_gate.json lists, each within the threshold of its gated
-// allocs/op and B/op.
+// BENCH_gate.json lists, each within x1.25 of its gated allocs/op and
+// B/op.
 //
 // Usage, from the repository root (CI's commands):
 //
 //	go test -run '^$' -bench . -benchtime 100x . | tee bench.out
 //	go test -run '^$' -bench . -benchtime 100x ./internal/myrinet | tee -a bench.out
-//	go run ./cmd/benchcheck [-threshold 1.25] bench.out
+//	go run ./cmd/benchcheck bench.out
 //
 // Gate schema: {"benchmarks": {"BenchmarkName": {"allocs_per_op": N,
 // "bytes_per_op": M}}}. An entry lacking either number fails to load.
@@ -25,7 +25,7 @@
 // B/op, because the runtime allocates a descriptor for one of its two
 // shard goroutines only when no exited one is free. The same runs of
 // each other benchmark moved no allocs/op and at most 57 B/op. The
-// default x1.25 threshold absorbs that spread, so any growth beyond it
+// x1.25 threshold absorbs that spread, so any growth beyond it
 // is a real regression in the engine's pooling/reuse discipline (see
 // DESIGN.md "Performance").
 //
@@ -48,6 +48,10 @@ import (
 
 // gatePath is the committed gate, relative to the repository root.
 const gatePath = "BENCH_gate.json"
+
+// threshold is the factor by which a benchmark's allocs/op or B/op may
+// exceed its gate number.
+const threshold = 1.25
 
 // units are the gated result columns; a gate entry holds one number
 // per unit, in this order.
@@ -96,7 +100,7 @@ func loadGate(path string) (map[string][2]float64, error) {
 // check scans `go test -bench` output against the gate, writing one
 // verdict line per gated column, and returns the process exit code.
 // Split from main so the gate's logic is testable end to end.
-func check(in io.Reader, out, errw io.Writer, gate map[string][2]float64, threshold float64) int {
+func check(in io.Reader, out, errw io.Writer, gate map[string][2]float64) int {
 	checked, failed := 0, 0
 	fail := func(format string, args ...any) {
 		failed++
@@ -158,7 +162,6 @@ func check(in io.Reader, out, errw io.Writer, gate map[string][2]float64, thresh
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 1.25, "fail when a benchmark's allocs/op or B/op exceeds its gate number by this factor")
 	flag.Parse()
 
 	in := os.Stdin
@@ -177,5 +180,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 		os.Exit(1)
 	}
-	os.Exit(check(in, os.Stdout, os.Stderr, gate, *threshold))
+	os.Exit(check(in, os.Stdout, os.Stderr, gate))
 }

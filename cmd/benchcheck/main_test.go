@@ -41,7 +41,7 @@ func driveGate(t *testing.T) map[string][2]float64 {
 
 func runCheck(gate map[string][2]float64, input string) (code int, out string) {
 	var buf, errs bytes.Buffer
-	code = check(strings.NewReader(input), &buf, &errs, gate, 1.25)
+	code = check(strings.NewReader(input), &buf, &errs, gate)
 	return code, buf.String() + errs.String()
 }
 

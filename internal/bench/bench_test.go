@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,6 +204,34 @@ func TestTable4Pinned(t *testing.T) {
 			t.Errorf("row %d: got %q t0=%.6gus r_inf=%.7g n1/2=%.7g extrapolated=%v, want %q t0=%.6gus r_inf=%.7g n1/2=%.7g extrapolated=%v",
 				i, r.Name, r.T0us, r.RInf, r.NHalf, r.Extrap, w.name, w.t0us, w.rInf, w.nh, w.extrapolatedHalf)
 		}
+	}
+}
+
+// TestHeadlinePinned holds the headline report to recorded values at
+// 1024 packets per stream, under TestTable4Pinned's rule: every KV
+// exactly as printed, and the bandwidth curve's fitted t0, r_inf and
+// n1/2 within 0.1%. A change that means to move them updates these
+// values and gives its reason.
+func TestHeadlinePinned(t *testing.T) {
+	want := []KV{
+		{"one-way latency, 4-word message (us)", "18.2", "25"},
+		{"one-way latency, 128B packet (us)", "27.6", "32"},
+		{"bandwidth @ 128B (MB/s)", "13.8", "16.2"},
+		{"bandwidth @ 512B (MB/s)", "17.8", "19.6"},
+		{"n1/2 (bytes)", "67", "54"},
+		{"bandwidth @ n1/2 (MB/s)", "10.4", "10.7"},
+	}
+	opt := DefaultOptions()
+	opt.Packets = 1024
+	r := Headline(opt)
+	if !slices.Equal(r.KVs, want) {
+		t.Errorf("headline KVs = %q, want %q", r.KVs, want)
+	}
+	fit := r.Curves[0].Fit
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-3*math.Abs(want) }
+	if !near(fit.T0.Microseconds(), 3.733562) || !near(fit.RInf, 20.73108) || !near(fit.NHalf, 66.92080) {
+		t.Errorf("headline curve fit t0=%.6gus r_inf=%.7g n1/2=%.7g, want t0=3.733562us r_inf=20.73108 n1/2=66.92080",
+			fit.T0.Microseconds(), fit.RInf, fit.NHalf)
 	}
 }
 

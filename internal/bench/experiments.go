@@ -125,59 +125,47 @@ func Fig9(opt Options) *Report {
 	return r
 }
 
-// table4Paper holds the paper's Table 4 values for side-by-side output.
-var table4Paper = map[string][3]string{
-	"Baseline LCP (LANai only)":               {"4.2", "76.3", "315"},
-	"Streamed LCP (LANai only)":               {"3.5", "76.3", "249"},
-	"Streamed + hybrid":                       {"3.5", "21.2", "44"},
-	"Streamed + hybrid + buf":                 {"3.8", "21.9", "53"},
-	"Streamed + hybrid + buf + flow":          {"4.1", "21.4", "54"},
-	"Streamed + hybrid + buf + switch":        {"6.8", "21.8", "127"},
-	"Streamed + hybrid + buf + switch + flow": {"6.9", "21.7", "127"},
-	"Streamed + all DMA":                      {"7.5", "33.0", "162"},
-	"Myrinet API (myri_cmd_send_imm())":       {"105", "23.9", "~4.4K"},
-	"Myrinet API (myri_cmd_send())":           {"121", "23.9", "~6.9K"},
-}
-
 // Table4 regenerates Table 4: t0, r_inf and n1/2 for every layer
 // configuration.
 func Table4(opt Options) *Report {
 	p := cost.Default()
 	r := &Report{ID: "table4", Title: "Summary of FM 1.0 performance data"}
 
+	// Each row holds its name, the paper's t0 (us), r_inf (MB/s) and
+	// n1/2 (bytes) for side-by-side output, and the curve it measures.
 	type entry struct {
-		name  string
-		curve func() Curve
+		name, t0, rInf, nHalf string
+		curve                 func() Curve
 	}
 	entries := []entry{
-		{"Baseline LCP (LANai only)", func() Curve {
+		{"Baseline LCP (LANai only)", "4.2", "76.3", "315", func() Curve {
 			return lanaiCurve("baseline", false, p, opt.Sizes, serial(opt), false)
 		}},
-		{"Streamed LCP (LANai only)", func() Curve {
+		{"Streamed LCP (LANai only)", "3.5", "76.3", "249", func() Curve {
 			return lanaiCurve("streamed", true, p, opt.Sizes, serial(opt), false)
 		}},
-		{"Streamed + hybrid", func() Curve {
+		{"Streamed + hybrid", "3.5", "21.2", "44", func() Curve {
 			return hostCurve("hybrid", fmMaker(ConfigHybridVestigial(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Streamed + hybrid + buf", func() Curve {
+		{"Streamed + hybrid + buf", "3.8", "21.9", "53", func() Curve {
 			return hostCurve("buf", fmMaker(ConfigBufMgmt(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Streamed + hybrid + buf + flow", func() Curve {
+		{"Streamed + hybrid + buf + flow", "4.1", "21.4", "54", func() Curve {
 			return hostCurve("flow", fmMaker(ConfigFullFM(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Streamed + hybrid + buf + switch", func() Curve {
+		{"Streamed + hybrid + buf + switch", "6.8", "21.8", "127", func() Curve {
 			return hostCurve("switch", fmMaker(ConfigBufSwitch(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Streamed + hybrid + buf + switch + flow", func() Curve {
+		{"Streamed + hybrid + buf + switch + flow", "6.9", "21.7", "127", func() Curve {
 			return hostCurve("switchflow", fmMaker(cfgFullSwitch(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Streamed + all DMA", func() Curve {
+		{"Streamed + all DMA", "7.5", "33.0", "162", func() Curve {
 			return hostCurve("alldma", fmMaker(ConfigAllDMAVestigial(), p), opt.Sizes, serial(opt), false, 0)
 		}},
-		{"Myrinet API (myri_cmd_send_imm())", func() Curve {
+		{"Myrinet API (myri_cmd_send_imm())", "105", "23.9", "~4.4K", func() Curve {
 			return hostCurve("apiimm", apiMaker(myriapi.SendImm, p), opt.APISizes, serial(opt), false, sbusWriteRef)
 		}},
-		{"Myrinet API (myri_cmd_send())", func() Curve {
+		{"Myrinet API (myri_cmd_send())", "121", "23.9", "~6.9K", func() Curve {
 			return hostCurve("apidma", apiMaker(myriapi.SendDMA, p), opt.APISizes, serial(opt), false, sbusWriteRef)
 		}},
 	}
@@ -185,16 +173,15 @@ func Table4(opt Options) *Report {
 	r.Rows = mapN(opt.Workers, len(entries), func(i int) Row {
 		e := entries[i]
 		c := e.curve()
-		paper := table4Paper[e.name]
 		return Row{
 			Name:    e.name,
 			T0us:    c.Fit.T0.Microseconds(),
 			RInf:    c.Fit.RInf,
 			NHalf:   c.Fit.NHalf,
 			Extrap:  c.Fit.NHalfExtrapolated,
-			PaperT0: paper[0],
-			PaperR:  paper[1],
-			PaperN:  paper[2],
+			PaperT0: e.t0,
+			PaperR:  e.rInf,
+			PaperN:  e.nHalf,
 		}
 	})
 	return r

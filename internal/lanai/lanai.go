@@ -40,8 +40,8 @@ type QueueConfig struct {
 	HostOutSlots int
 }
 
-// channelSlots is the incoming-channel staging depth; arrivals beyond
-// it stall in the network (wormhole back-pressure).
+// channelSlots is the incoming-channel staging depth. A frame that
+// arrives to find both slots full waits at the receiver (see Arrive).
 const channelSlots = 2
 
 // DefaultQueues returns the FM 1.0 queue geometry for a given frame
@@ -69,7 +69,7 @@ type Stats struct {
 	Delivered      uint64 // packets DMAed into the host receive queue
 	HostDMABatches uint64 // host-DMA transfers issued
 	HostDMAPackets uint64 // packets carried by those transfers
-	NetStalls      uint64 // arrivals that had to wait for staging space
+	NetStalls      uint64 // arrivals that found staging full and waited in netPending
 }
 
 // Device is one node's LANai card.
@@ -107,8 +107,8 @@ type Device struct {
 	// HostRecvAvail wakes a host blocked in WaitIncoming.
 	HostRecvAvail *sim.Signal
 
-	// rxChan is the incoming-channel staging buffer; netPending holds
-	// arrivals stalled behind it (wormhole back-pressure).
+	// rxChan is the incoming-channel staging buffer; netPending is an
+	// unbounded FIFO of the frames that arrived while it was full.
 	rxChan     *ring.Ring[*myrinet.Packet]
 	netPending []*myrinet.Packet
 
@@ -166,7 +166,12 @@ func NewAt(d *Device, k *sim.Kernel, p *cost.Params, bus *sbus.Bus, fab *myrinet
 func (d *Device) Stats() Stats { return d.stats }
 
 // Arrive implements myrinet.Sink: the incoming channel presents a fully
-// received frame. If staging is full the frame stalls (back-pressure).
+// received frame. A frame that finds both staging slots full waits in
+// netPending, an unbounded list at the receiver, and NetStalls counts
+// the arrival. The wait reaches nothing upstream: the frame holds no
+// fabric port, and the sending LANai and its host never see it. Myrinet
+// would hold the blocked worm in the network and stall its sender; the
+// model does not until ROADMAP item 10's stage B.
 func (d *Device) Arrive(p *myrinet.Packet) {
 	if !d.rxChan.TryPush(p) {
 		d.netPending = append(d.netPending, p)

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the drive core every driver shares: the pregeneration
-// prologue (pattern expansion, totals, route hints, hop accounting),
+// prologue (sequence binding, totals, route hints, hop accounting),
 // the latency-stamp wire format, the per-shard result merge, and the
 // FM drive core (fmDrive): the one cluster prologue, rank body and
 // result gathering of every driver above the raw network. Every drive
@@ -21,14 +21,6 @@ import (
 // drivers in driver.go (raw, closed-loop FM, MPI) and soak.go
 // (open-loop FM) differ only in which stack level they run and what
 // they observe — everything else lives here exactly once.
-
-// sendSize resolves one send's payload size against the driver default.
-func sendSize(s Send, def int) int {
-	if s.Size > 0 {
-		return s.Size
-	}
-	return def
-}
 
 // sendSeq is one rank's send sequence: a materialized slice for plain
 // patterns, or an index-addressed view over a StreamingPattern that
@@ -53,70 +45,50 @@ func (q sendSeq) At(j int) Send {
 	return q.list[j]
 }
 
-// genSeqs binds every rank's send sequence and accumulates the shared
-// totals: message count, payload bytes, per-rank receive counts, and
-// the buffer size the drivers need. Streaming patterns are walked
-// without materializing; everything else expands through Gen exactly
-// as before.
-func genSeqs(pat Pattern, n, def int) (sends []sendSeq, messages int, bytes int64, expect []int, maxSize int) {
+// prepare is the prologue every driver runs before simulating. It binds
+// every rank's send sequence (streaming patterns without materializing,
+// everything else through Gen), hints every fabric replica's route
+// cache before any route is resolved (a later hint is ignored), and
+// then walks each send once, counting per-rank receives (expect) and
+// topological hops. Every message carries the driver's one payload
+// size, so a send that sets Size panics, naming the pattern. The
+// sequences are in canonical rank order.
+func prepare(spec FabricSpec, pat Pattern, size int, fabs ...*myrinet.Fabric) (res Result, sends []sendSeq, expect []int) {
+	n := fabs[0].Nodes()
+	res = Result{Pattern: pat.Name(), Fabric: spec.Name}
 	sends = make([]sendSeq, n)
-	expect = make([]int, n)
-	maxSize = def
 	sp, _ := pat.(StreamingPattern)
-	for src := 0; src < n; src++ {
+	for src := range sends {
 		if sp != nil {
 			sends[src] = sendSeq{sp: sp, src: src, n: n, ln: sp.RankLen(src, n)}
 		} else {
 			list := pat.Gen(src, n)
 			sends[src] = sendSeq{list: list, ln: len(list)}
 		}
-		q := sends[src]
-		messages += q.Len()
-		for j := 0; j < q.Len(); j++ {
-			sz := sendSize(q.At(j), def)
-			bytes += int64(sz)
-			expect[q.At(j).Dst]++
-			if sz > maxSize {
-				maxSize = sz
-			}
-		}
+		res.Messages += sends[src].Len()
 	}
-	return sends, messages, bytes, expect, maxSize
-}
-
-// meanHops computes the pattern's mean switch-crossing count on the
-// fabric: pure routing-table arithmetic, no virtual time.
-func meanHops(f *myrinet.Fabric, sends []sendSeq, messages int) float64 {
-	if messages == 0 {
-		return 0
-	}
-	hops := 0
-	for src := range sends {
-		q := sends[src]
-		for j := 0; j < q.Len(); j++ {
-			hops += f.Hops(src, q.At(j).Dst)
-		}
-	}
-	return float64(hops) / float64(messages)
-}
-
-// prepare is the prologue every driver runs before simulating: bind
-// the pattern's per-rank sequences, fill the result's totals, hint the
-// route caches of every fabric replica, and account topological hops.
-// The returned sequences are in canonical rank order; expect is the
-// per-rank receive count.
-func prepare(spec FabricSpec, pat Pattern, size int, fabs ...*myrinet.Fabric) (res Result, sends []sendSeq, expect []int, maxSize int) {
-	n := fabs[0].Nodes()
-	res = Result{Pattern: pat.Name(), Fabric: spec.Name}
-	var messages int
-	sends, messages, res.PayloadBytes, expect, maxSize = genSeqs(pat, n, size)
-	res.Messages = messages
-	hint := spec.RouteHint(n, messages)
+	res.PayloadBytes = int64(res.Messages) * int64(size)
+	hint := spec.RouteHint(n, res.Messages)
 	for _, f := range fabs {
 		f.HintRoutes(hint)
 	}
-	res.MeanHops = meanHops(fabs[0], sends, messages)
-	return res, sends, expect, maxSize
+	expect = make([]int, n)
+	hops := 0
+	for src, q := range sends {
+		for j := 0; j < q.Len(); j++ {
+			s := q.At(j)
+			if s.Size != 0 {
+				panic(fmt.Sprintf("workload: pattern %s: rank %d send %d sets Size %d; every message carries the driver's size",
+					pat.Name(), src, j, s.Size))
+			}
+			expect[s.Dst]++
+			hops += fabs[0].Hops(src, s.Dst)
+		}
+	}
+	if res.Messages > 0 {
+		res.MeanHops = float64(hops) / float64(res.Messages)
+	}
+	return res, sends, expect
 }
 
 // mergeLatency folds per-shard histograms into the result in shard
@@ -139,8 +111,7 @@ func shardStats(g *sim.ShardGroup) []sim.ShardStats {
 
 // stamp writes a virtual instant into the payload head so the receiver
 // can compute per-message latency; payloads shorter than the timestamp
-// skip it (the recorded distribution then only covers the stampable
-// messages). The FM and MPI drivers stamp the instant hold returns: a
+// skip it (a drive at such a size then records no latency). The FM and MPI drivers stamp the instant hold returns: a
 // send's scheduled At instant, or the send instant of a back-to-back
 // send.
 func stamp(buf []byte, now sim.Time) {
@@ -166,9 +137,8 @@ type fmDrive struct {
 	c        *cluster.FM
 	sends    []sendSeq
 	expect   []int
-	size     int // default payload size
-	maxSize  int
-	slab     []byte // every rank's send buffer, maxSize bytes each
+	size     int    // every message's payload size
+	slab     []byte // every rank's send buffer, size bytes each
 	settleAt sim.Time
 }
 
@@ -189,13 +159,13 @@ func newFMDrive(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, s
 	for _, f := range c.Fabs {
 		f.ApplyFaults(ws)
 	}
-	res, sends, expect, maxSize := prepare(spec, pat, size, c.Fabs...)
-	return &fmDrive{c: c, sends: sends, expect: expect, size: size, maxSize: maxSize,
-		slab: make([]byte, len(c.EPs)*maxSize), settleAt: settleTime(ws, cfg.RetryDelay)}, res
+	res, sends, expect := prepare(spec, pat, size, c.Fabs...)
+	return &fmDrive{c: c, sends: sends, expect: expect, size: size,
+		slab: make([]byte, len(c.EPs)*size), settleAt: settleTime(ws, cfg.RetryDelay)}, res
 }
 
 // buf is rank id's send buffer; each rank writes only its own.
-func (d *fmDrive) buf(id int) []byte { return d.slab[id*d.maxSize : (id+1)*d.maxSize] }
+func (d *fmDrive) buf(id int) []byte { return d.slab[id*d.size : (id+1)*d.size] }
 
 // run starts body as every node's application, on the shard owning the
 // node, runs the cluster to quiescence, and completes the prologue's
@@ -283,9 +253,8 @@ func (d *fmDrive) fmRank(id int, ep *core.Endpoint, deliver func(now sim.Time, l
 	})
 	for j := 0; j < sends.Len(); j++ {
 		s := sends.At(j)
-		msg := buf[:sendSize(s, d.size)]
-		stamp(msg, hold(ep, s.At, polled))
-		if err := ep.Send(s.Dst, 0, msg); err != nil {
+		stamp(buf, hold(ep, s.At, polled))
+		if err := ep.Send(s.Dst, 0, buf); err != nil {
 			panic(err)
 		}
 		ep.Extract() // keep draining while sending

@@ -22,8 +22,8 @@ type Result struct {
 	// Messages is the number of messages the pattern generated (and the
 	// driver verified delivered).
 	Messages int
-	// PayloadBytes is the total payload carried, per-send size
-	// overrides included.
+	// PayloadBytes is the total payload carried: Messages times the
+	// driver's one payload size.
 	PayloadBytes int64
 	// Elapsed is the virtual time of the last delivery (raw level) or
 	// of cluster quiescence (FM/MPI levels).
@@ -38,9 +38,8 @@ type Result struct {
 	// MPI, matching and reassembly included); a send is due at its At
 	// instant, or at its send call when At is zero (see hold). The raw
 	// driver records every message; the FM and MPI drivers stamp the
-	// due instant into the payload, so messages shorter than the 8-byte
-	// timestamp cannot carry one and are not recorded —
-	// Latency.Count() < Messages signals such a run.
+	// due instant into the payload, so a drive whose payload size is
+	// below the 8-byte timestamp records none (Latency.Count() is 0).
 	Latency stats.Histogram
 	// Shards holds per-shard runtime counters (events run, cross-shard
 	// posts, barrier windows, busy wall time) when the drive was split
@@ -67,7 +66,6 @@ type rawDrive struct {
 	k         *sim.Kernel
 	f         *myrinet.Fabric
 	payload   []byte
-	size      int // default payload size
 	delivered int
 	last      sim.Time
 	lat       *stats.Histogram
@@ -102,7 +100,7 @@ func injectNext(a any) {
 	pkt := dr.f.NewPacket()
 	pkt.Src, pkt.Dst = in.src, s.Dst
 	pkt.Type = myrinet.Data
-	pkt.SetPayload(dr.payload[:sendSize(s, dr.size)])
+	pkt.SetPayload(dr.payload)
 	pkt.HeaderBytes = in.hdr
 	in.next++
 	srcDone := dr.f.Inject(pkt)
@@ -119,7 +117,7 @@ func injectNext(a any) {
 // bottleneck), split over `shards` kernels: every source injects its
 // send list back-to-back, each next injection paced by the instant the
 // source's uplink frees (or the send's At time). Frames carry the FM
-// header size, size bytes of payload by default. Every source's
+// header size and size bytes of payload. Every source's
 // injector chain runs on the shard owning the source, sinks count
 // deliveries on the shard owning the destination, and packet heads
 // crossing shard boundaries travel as timestamped inter-shard events.
@@ -139,15 +137,15 @@ func DriveRawSharded(spec FabricSpec, p *cost.Params, pat Pattern, size, shards 
 	}
 	n := fabs[0].Nodes()
 
-	res, sends, _, maxSize := prepare(spec, pat, size, fabs...)
+	res, sends, _ := prepare(spec, pat, size, fabs...)
 
 	// One shared read-only payload buffer; per-shard drive state so no
 	// counter is touched by two kernels.
-	payload := make([]byte, maxSize)
+	payload := make([]byte, size)
 	hists := make([]stats.Histogram, shards)
 	drs := make([]*rawDrive, shards)
 	for s := range drs {
-		drs[s] = &rawDrive{k: g.Shard(s).Kernel(), f: fabs[s], payload: payload, size: size, lat: &hists[s]}
+		drs[s] = &rawDrive{k: g.Shard(s).Kernel(), f: fabs[s], payload: payload, lat: &hists[s]}
 	}
 	for id := 0; id < n; id++ {
 		s := part.Owner(id)
@@ -252,9 +250,8 @@ func DriveMPI(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, siz
 		buf, q := d.buf(id), d.sends[id]
 		for j := 0; j < q.Len(); j++ {
 			s := q.At(j)
-			msg := buf[:sendSize(s, size)]
-			stamp(msg, hold(ep, s.At, noPoll))
-			comm.Send(s.Dst, mpiDriveTag, msg)
+			stamp(buf, hold(ep, s.At, noPoll))
+			comm.Send(s.Dst, mpiDriveTag, buf)
 		}
 		// Complete receives as they land: sweeping Done requests
 		// keeps the latency observation close to each message's

@@ -1,7 +1,5 @@
 package workload
 
-import "fmt"
-
 // The pattern catalog. The first two are ports of the traffic the
 // fabrics/scale experiments hand-rolled; the rest are the classical
 // interconnect stress patterns the paper's successors (and every
@@ -81,16 +79,9 @@ func (b Bisection) SendAt(src, n, j int) Send { return Send{Dst: (src + n/2) % n
 // drawn uniformly from the other n-1 ranks. Each rank's stream is a
 // splitmix64 sequence derived from (Seed, src), so the pattern is
 // reproducible by construction: no global PRNG, no ordering hazards.
-// When MinBytes is positive, each send also draws a payload size
-// uniformly from [MinBytes, MaxBytes] (an inverted range is a
-// programming error and panics); otherwise sends use the driver's
-// default size.
 type UniformRandom struct {
 	Seed    uint64
 	Packets int
-	// MinBytes and MaxBytes bound the optional per-send payload size
-	// draw. MinBytes zero (the default) leaves sizing to the driver.
-	MinBytes, MaxBytes int
 }
 
 // Name implements Pattern.
@@ -98,10 +89,6 @@ func (UniformRandom) Name() string { return "uniform-random" }
 
 // Gen implements Pattern.
 func (u UniformRandom) Gen(src, n int) []Send {
-	if u.MinBytes > 0 && u.MaxBytes < u.MinBytes {
-		panic(fmt.Sprintf("workload: UniformRandom size range [%d, %d] is inverted",
-			u.MinBytes, u.MaxBytes))
-	}
 	if n < 2 {
 		return nil // no other rank to draw
 	}
@@ -112,11 +99,7 @@ func (u UniformRandom) Gen(src, n int) []Send {
 		if dst >= src {
 			dst++ // skip self: map [0,n-2] onto the other n-1 ranks
 		}
-		s := Send{Dst: dst}
-		if u.MinBytes > 0 {
-			s.Size = u.MinBytes + int(rng.next()%uint64(u.MaxBytes-u.MinBytes+1))
-		}
-		out[i] = s
+		out[i] = Send{Dst: dst}
 	}
 	return out
 }
@@ -183,12 +166,10 @@ func (c Incast) SendAt(src, n, j int) Send { return Send{Dst: c.Target % n} }
 // rank sends one message to its left neighbor and one to its right
 // neighbor (in that order). With Wrap the ring closes; without it the
 // boundary ranks skip their missing side — exactly the communication
-// structure of a 1-D stencil halo exchange (examples/halo). Bytes, when
-// positive, sizes every message (a halo is a fixed few bytes).
+// structure of a 1-D stencil halo exchange (examples/halo).
 type Neighbor struct {
 	Rounds int
 	Wrap   bool
-	Bytes  int
 }
 
 // Name implements Pattern.
@@ -237,9 +218,9 @@ func (g Neighbor) SendAt(src, n, j int) Send {
 		per++
 	}
 	if hasL && j%per == 0 {
-		return Send{Dst: left, Size: g.Bytes}
+		return Send{Dst: left}
 	}
-	return Send{Dst: right, Size: g.Bytes}
+	return Send{Dst: right}
 }
 
 // Broadcast is the storm pattern: rank Root sends Rounds copies to

@@ -20,7 +20,7 @@ func TestOneShardRegression(t *testing.T) {
 		res                Result
 		messages           int
 		elapsed, mean, max int64 // ps
-		meanHops           float64
+		hops               float64
 	}{
 		{"raw clos-32 uniform-random",
 			DriveRawSharded(ClosSpec(32), p, UniformRandom{Seed: 7, Packets: 8}, 112, 1),
@@ -40,8 +40,8 @@ func TestOneShardRegression(t *testing.T) {
 			t.Errorf("%s: latency mean/max = %d/%d ps, pinned %d/%d ps",
 				tc.name, r.Latency.Mean(), r.Latency.Max(), tc.mean, tc.max)
 		}
-		if r.MeanHops != tc.meanHops {
-			t.Errorf("%s: mean hops = %v, pinned %v", tc.name, r.MeanHops, tc.meanHops)
+		if r.MeanHops != tc.hops {
+			t.Errorf("%s: mean hops = %v, pinned %v", tc.name, r.MeanHops, tc.hops)
 		}
 		if r.Shards != nil {
 			t.Errorf("%s: one-shard run reported shard stats %+v", tc.name, r.Shards)

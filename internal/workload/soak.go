@@ -111,10 +111,14 @@ func (r *SoakResult) ReportWindows() int {
 // are attributed to the window they happen in. Every scheduled arrival
 // is delivered exactly once before the drive returns (the drain
 // guarantee all FM drivers share); the termination mode only selects
-// how much of the timeline ReportWindows exposes. Panics if any message
-// cannot carry the 8-byte stamp — a soak without sojourn readings has
-// no timeline to report.
+// how much of the timeline ReportWindows exposes. Panics if size cannot
+// carry the 8-byte stamp — a soak without sojourn readings has no
+// timeline to report.
 func SoakDriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, src Source, size int, opt SoakOptions) SoakResult {
+	if size < 8 {
+		panic(fmt.Sprintf("workload: soak %s on %s: payload %d bytes cannot carry the arrival stamp",
+			src.Name(), spec.Name, size))
+	}
 	d, base := newFMDrive(spec, cfg, p, src, size, opt.Faults, 1)
 	series := stats.NewSeries(opt.Width)
 
@@ -123,12 +127,7 @@ func SoakDriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, src Source, s
 	// service unfolded.
 	for _, q := range d.sends {
 		for j := 0; j < q.Len(); j++ {
-			s := q.At(j)
-			if sendSize(s, size) < 8 {
-				panic(fmt.Sprintf("workload: soak %s on %s: payload %d bytes cannot carry the arrival stamp",
-					src.Name(), spec.Name, sendSize(s, size)))
-			}
-			series.Arrival(sim.Time(s.At))
+			series.Arrival(sim.Time(q.At(j).At))
 		}
 	}
 

@@ -18,9 +18,9 @@ import (
 // cannot reach: a batch run always ends, so the knee never shows.
 //
 // Contract: every generated Send.At lies in [0, SourceHorizon()); the
-// destination/size structure cycles through the base pattern's send
-// list in order; generation is a pure function of the source value and
-// (src, n), exactly like any other Pattern.
+// destinations cycle through the base pattern's send list in order;
+// generation is a pure function of the source value and (src, n),
+// exactly like any other Pattern.
 type Source interface {
 	Pattern
 	// SourceHorizon is the virtual-time span arrivals cover.
@@ -28,8 +28,8 @@ type Source interface {
 }
 
 // cycleSends materializes an arrival schedule over base's send list:
-// arrival i takes base[i%len(base)]'s destination and size with its own
-// At instant. next() returns successive interarrival gaps.
+// arrival i takes base[i%len(base)]'s destination with its own At
+// instant. next() returns successive interarrival gaps.
 func cycleSends(base []Send, horizon sim.Duration, next func() sim.Duration) []Send {
 	if len(base) == 0 {
 		return nil
@@ -41,8 +41,7 @@ func cycleSends(base []Send, horizon sim.Duration, next func() sim.Duration) []S
 		if t >= horizon {
 			return out
 		}
-		b := base[i%len(base)]
-		out = append(out, Send{Dst: b.Dst, Size: b.Size, At: t})
+		out = append(out, Send{Dst: base[i%len(base)].Dst, At: t})
 	}
 }
 
@@ -75,9 +74,6 @@ func (s PoissonSource) Name() string { return "poisson:" + s.Base.Name() }
 // SourceHorizon implements Source.
 func (s PoissonSource) SourceHorizon() sim.Duration { return s.Horizon }
 
-// AdjustNodes forwards the base pattern's node constraint.
-func (s PoissonSource) AdjustNodes(n int) int { return AdjustNodes(s.Base, n) }
-
 // Gen implements Pattern.
 func (s PoissonSource) Gen(src, n int) []Send {
 	checkSource(s.Name(), s.MeanGap, s.Horizon)
@@ -106,9 +102,6 @@ func (s FixedRateSource) Name() string { return "fixed-rate:" + s.Base.Name() }
 
 // SourceHorizon implements Source.
 func (s FixedRateSource) SourceHorizon() sim.Duration { return s.Horizon }
-
-// AdjustNodes forwards the base pattern's node constraint.
-func (s FixedRateSource) AdjustNodes(n int) int { return AdjustNodes(s.Base, n) }
 
 // Gen implements Pattern.
 func (s FixedRateSource) Gen(src, n int) []Send {

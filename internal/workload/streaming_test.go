@@ -18,7 +18,7 @@ func TestStreamingPatternsMatchGen(t *testing.T) {
 		Tornado{Packets: 4},
 		Incast{Target: 0, Packets: 3},
 		Incast{Target: 5, Packets: 2},
-		Neighbor{Rounds: 2, Wrap: true, Bytes: 16},
+		Neighbor{Rounds: 2, Wrap: true},
 		Neighbor{Rounds: 3, Wrap: false},
 		Broadcast{Root: 0, Rounds: 2},
 		Broadcast{Root: 3, Rounds: 1},
@@ -46,25 +46,24 @@ func TestStreamingPatternsMatchGen(t *testing.T) {
 }
 
 // UniformRandom and the soak sources are sequentially seeded and must
-// stay on the materialized path; genSeqs would otherwise misdrive them.
+// stay on the materialized path; prepare would otherwise misdrive them.
 func TestSequentialPatternsStayMaterialized(t *testing.T) {
 	if _, ok := Pattern(UniformRandom{Seed: 1, Packets: 1}).(StreamingPattern); ok {
 		t.Fatal("UniformRandom must not implement StreamingPattern: its j-th send depends on a PRNG prefix")
 	}
 }
 
-// genSeqs must produce identical totals whichever form the pattern
+// prepare must produce identical totals whichever form the pattern
 // takes: drive every catalog pattern (streaming and materialized)
 // through it and compare against a walk of Gen. The per-rank expect
 // counts are what the drivers wait on, so they must match Gen's
 // destinations exactly.
-func TestGenSeqsStreamingTotalsMatchMaterialized(t *testing.T) {
-	const def = 64
+func TestPrepareStreamingTotalsMatchMaterialized(t *testing.T) {
 	for _, pat := range catalog() {
 		n := AdjustNodes(pat, 7)
-		seqs, messages, bytes, expect, maxSize := genSeqs(pat, n, def)
+		res, seqs, expect := prepareOn(pat, n)
 
-		wantMessages, wantBytes, wantMax := 0, int64(0), def
+		wantMessages := 0
 		wantExpect := make([]int, n)
 		for src := 0; src < n; src++ {
 			list := pat.Gen(src, n)
@@ -76,13 +75,12 @@ func TestGenSeqsStreamingTotalsMatchMaterialized(t *testing.T) {
 					t.Fatalf("%s rank %d send %d: seq %+v, Gen %+v", pat.Name(), src, j, seqs[src].At(j), s)
 				}
 				wantMessages++
-				wantBytes += int64(sendSize(s, def))
-				wantMax = max(wantMax, sendSize(s, def))
 				wantExpect[s.Dst]++
 			}
 		}
-		if messages != wantMessages || bytes != wantBytes || maxSize != wantMax {
-			t.Fatalf("%s: totals (%d, %d, %d) != (%d, %d, %d)", pat.Name(), messages, bytes, maxSize, wantMessages, wantBytes, wantMax)
+		if res.Messages != wantMessages || res.PayloadBytes != int64(wantMessages*prepareSize) {
+			t.Fatalf("%s: totals (%d, %d) != (%d, %d)", pat.Name(), res.Messages, res.PayloadBytes,
+				wantMessages, wantMessages*prepareSize)
 		}
 		for i := range expect {
 			if expect[i] != wantExpect[i] {

@@ -26,13 +26,15 @@ package workload
 
 import "fm/internal/sim"
 
-// Send is one message a rank will issue: the destination rank, an
-// optional payload-size override, and the earliest virtual instant the
-// injection may start.
+// Send is one message a rank will issue: the destination rank and the
+// earliest virtual instant the injection may start. Every message of a
+// drive carries the driver's one payload size.
 type Send struct {
 	// Dst is the destination rank (node id).
 	Dst int
-	// Size overrides the driver's default payload size when positive.
+	// Size must stay zero: a drive panics on a send that sets it. The
+	// field stays only because perfbench's composed drives read it, until
+	// perfbench reads the real drivers (ROADMAP item 6).
 	Size int
 	// At is the earliest injection instant. Zero means back-to-back:
 	// the send starts as soon as the source's previous send has left.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"fm/internal/core"
@@ -16,7 +17,6 @@ func catalog() []Pattern {
 		AllToAll{Rounds: 2},
 		Bisection{Packets: 3},
 		UniformRandom{Seed: 42, Packets: 5},
-		UniformRandom{Seed: 42, Packets: 5, MinBytes: 8, MaxBytes: 64},
 		Tornado{Packets: 3},
 		Incast{Target: 0, Packets: 3},
 		Neighbor{Rounds: 2, Wrap: true},
@@ -73,8 +73,7 @@ func TestClosedFormSends(t *testing.T) {
 		{Tornado{Packets: 2}, 5, 8, to(0, 0)},
 		{Tornado{Packets: 1}, 1, 2, to(0)}, // degenerate shift of one
 		{Incast{Target: 6, Packets: 2}, 1, 4, to(2, 2)},
-		{Neighbor{Rounds: 2, Wrap: true, Bytes: 16}, 0, 4,
-			[]Send{{Dst: 3, Size: 16}, {Dst: 1, Size: 16}, {Dst: 3, Size: 16}, {Dst: 1, Size: 16}}},
+		{Neighbor{Rounds: 2, Wrap: true}, 0, 4, to(3, 1, 3, 1)},
 		{Broadcast{Root: 5, Rounds: 2}, 1, 4, to(0, 2, 3, 0, 2, 3)},
 	} {
 		if got := c.pat.Gen(c.src, c.n); !reflect.DeepEqual(got, c.want) {
@@ -101,27 +100,21 @@ func TestUniformRandomPinnedSeed(t *testing.T) {
 	}
 }
 
-func TestUniformRandomSizes(t *testing.T) {
-	u := UniformRandom{Seed: 7, Packets: 100, MinBytes: 8, MaxBytes: 32}
-	for _, s := range u.Gen(3, 16) {
-		if s.Size < 8 || s.Size > 32 {
-			t.Fatalf("size %d outside [8, 32]", s.Size)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("inverted size range did not panic")
-		}
-	}()
-	(UniformRandom{Seed: 7, Packets: 1, MinBytes: 64, MaxBytes: 8}).Gen(0, 4)
+// prepareSize is the payload size prepareOn hands the prologue.
+const prepareSize = 64
+
+// prepareOn runs the drive prologue for pat on a fresh n-node crossbar.
+func prepareOn(pat Pattern, n int) (Result, []sendSeq, []int) {
+	spec := CrossbarSpec(n)
+	return prepare(spec, pat, prepareSize, spec.Build(sim.NewKernel(), cost.Default()))
 }
 
-// The per-rank receive counts the drivers wait on (genSeqs's expect)
+// The per-rank receive counts the drivers wait on (prepare's expect)
 // must account for every send the pattern makes.
 func TestRecvCountsMatchTotal(t *testing.T) {
 	for _, pat := range catalog() {
 		n := AdjustNodes(pat, 8)
-		_, _, _, counts, _ := genSeqs(pat, n, 64)
+		_, _, counts := prepareOn(pat, n)
 		sum := 0
 		for _, c := range counts {
 			sum += c
@@ -169,7 +162,7 @@ func TestIncastTargetSilent(t *testing.T) {
 	if sends := pat.Gen(2, 8); len(sends) != 0 {
 		t.Errorf("incast target generated %d sends", len(sends))
 	}
-	_, _, _, expect, _ := genSeqs(pat, 8, 64)
+	_, _, expect := prepareOn(pat, 8)
 	if expect[2] != 7*4 {
 		t.Errorf("target receives %d, want 28", expect[2])
 	}
@@ -244,25 +237,24 @@ func TestDriversDeterministicAndConsistent(t *testing.T) {
 	}
 }
 
-// Per-send size overrides flow through the raw driver: total payload
-// bytes is the sum of the drawn sizes, not messages*default.
-func TestDriveRawPerSendSizes(t *testing.T) {
-	p := cost.Default()
-	pat := UniformRandom{Seed: 5, Packets: 8, MinBytes: 16, MaxBytes: 96}
-	res := DriveRawSharded(CrossbarSpec(4), p, pat, 112, 1)
-	var want int64
-	for src := 0; src < 4; src++ {
-		for _, s := range pat.Gen(src, 4) {
-			want += int64(s.Size)
+// Every message carries the driver's one payload size: the prologue
+// refuses a send that sets Size, naming the pattern, rather than
+// silently resizing it.
+func TestPrepareRejectsSendSize(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "pattern sized") {
+			t.Errorf("panic %q does not name the pattern", msg)
 		}
-	}
-	if res.PayloadBytes != want {
-		t.Errorf("payload bytes %d, want %d", res.PayloadBytes, want)
-	}
-	if res.PayloadBytes == int64(res.Messages*112) {
-		t.Error("per-send sizes did not vary")
-	}
+	}()
+	prepareOn(sized{}, 4)
 }
+
+// sized sends one 16-byte message to the next rank.
+type sized struct{}
+
+func (sized) Name() string { return "sized" }
+
+func (sized) Gen(src, n int) []Send { return []Send{{Dst: (src + 1) % n, Size: 16}} }
 
 // The At field delays a send at every stack level: a send pinned at At
 // is not issued before At, and its latency is measured from At. Every
